@@ -81,7 +81,10 @@ def _element(group: WeylGroup, text: str):
     for letter in word:
         if not 1 <= letter <= group.rank:
             raise _UsageError(f"letter {letter} out of range for {group.kind}")
-    return group.word_elem(word)
+    w = group.word_elem(word)
+    if w.length != len(word):
+        raise _UsageError(f"{text.strip()!r} is not a reduced word in {group.kind}")
+    return w
 
 
 def _group(args) -> WeylGroup:

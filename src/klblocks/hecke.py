@@ -9,16 +9,17 @@ involution sends v to v^-1 and T_w to T_{w^-1}^-1.  In this picture
 with P_{y,w} the classical Kazhdan-Lusztig polynomial in q = v^2, and
 C_s = T_s + v^-1.
 
-Computed polynomials are cached in a KLTable keyed by (y, w); a table
-entry for (w, w) marks the whole column of w as known, which is what
-lets a table be reloaded from disk and reused without recursion.
+Computed polynomials are cached in a KLTable stored by column, as
+{w: {y: P_{y,w}}}; a table entry for (w, w) marks the whole column of w
+as known, which is what lets a table be reloaded from disk and reused
+without recursion.
 Tables are safe to share across threads only because entries are
 deterministic; confine a table to one thread if that bothers you.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
@@ -29,29 +30,41 @@ __all__ = ["HeckeElem", "HeckeAlgebra", "KLTable"]
 _V = LaurentPoly.gen()
 _VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
+_V_MINUS_VINV = _V - _VINV
+_EMPTY: Mapping = MappingProxyType({})
 
 
-@dataclass
 class KLTable:
     """Cache of Kazhdan-Lusztig polynomials, stored in the variable q."""
 
-    kind: str
-    entries: dict[tuple[WeylElem, WeylElem], LaurentPoly] = field(default_factory=dict)
+    def __init__(self, kind: str):
+        self.kind = kind
+        self._columns: dict[WeylElem, dict[WeylElem, LaurentPoly]] = {}
 
     def get(self, y: WeylElem, w: WeylElem) -> LaurentPoly | None:
-        return self.entries.get((y, w))
+        column = self._columns.get(w)
+        return column.get(y) if column is not None else None
 
     def put(self, y: WeylElem, w: WeylElem, p: LaurentPoly) -> None:
-        self.entries[(y, w)] = p
+        self._columns.setdefault(w, {})[y] = p
 
     def column_complete(self, w: WeylElem) -> bool:
-        return (w, w) in self.entries
+        return w in self._columns.get(w, _EMPTY)
 
-    def column(self, w: WeylElem) -> dict[WeylElem, LaurentPoly]:
-        return {y: p for (y, ww), p in self.entries.items() if ww is w}
+    def column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
+        """Read-only view of the stored entries {y: P_{y,w}}."""
+        column = self._columns.get(w)
+        return MappingProxyType(column) if column is not None else _EMPTY
+
+    @property
+    def entries(self) -> Mapping[tuple[WeylElem, WeylElem], LaurentPoly]:
+        """Every entry as a read-only {(y, w): P_{y,w}} snapshot."""
+        return MappingProxyType({
+            (y, w): p for w, column in self._columns.items() for y, p in column.items()
+        })
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(column) for column in self._columns.values())
 
 
 class HeckeElem:
@@ -78,7 +91,7 @@ class HeckeElem:
     def __add__(self, other: "HeckeElem") -> "HeckeElem":
         c = dict(self._c)
         for w, p in other._c.items():
-            c[w] = c.get(w, LaurentPoly.zero()) + p
+            _accumulate(c, w, p)
         return HeckeElem(self.algebra, c)
 
     def __neg__(self) -> "HeckeElem":
@@ -140,48 +153,26 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------
 
-    def _mul_gen_right(self, coeffs: dict, i: int) -> dict:
-        """coeffs * T_{s_i} in the T basis."""
-        s = self.group.simple(i)
+    def _gen_action(self, i: int, coeffs: dict, left: bool) -> dict:
+        """T_{s_i} * coeffs if left, else coeffs * T_{s_i}, in the T basis."""
+        group = self.group
+        shift, elems = (group.left if left else group.right)[i - 1], group.elements
         out: dict[WeylElem, LaurentPoly] = {}
-
-        def add(w, p):
-            out[w] = out.get(w, LaurentPoly.zero()) + p
-
         for w, p in coeffs.items():
-            ws = w * s
-            if ws.length > w.length:
-                add(ws, p)
-            else:
-                add(ws, p)
-                add(w, p * (_V - _VINV))
-        return out
-
-    def _mul_gen_left(self, i: int, coeffs: dict) -> dict:
-        """T_{s_i} * coeffs in the T basis."""
-        s = self.group.simple(i)
-        out: dict[WeylElem, LaurentPoly] = {}
-
-        def add(w, p):
-            out[w] = out.get(w, LaurentPoly.zero()) + p
-
-        for w, p in coeffs.items():
-            sw = s * w
-            if sw.length > w.length:
-                add(sw, p)
-            else:
-                add(sw, p)
-                add(w, p * (_V - _VINV))
+            sw = elems[shift[w.index]]
+            _accumulate(out, sw, p)
+            if sw.length < w.length:
+                _accumulate(out, w, p * _V_MINUS_VINV)
         return out
 
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         total: dict[WeylElem, LaurentPoly] = {}
         for y, p in b.items():
             cur = dict(a._c)
-            for i in self.group.reduced_word(y):
-                cur = self._mul_gen_right(cur, i)
+            for i in y.word:
+                cur = self._gen_action(i, cur, left=False)
             for w, c in cur.items():
-                total[w] = total.get(w, LaurentPoly.zero()) + c * p
+                _accumulate(total, w, c * p)
         return HeckeElem(self, total)
 
     # -- bar involution ----------------------------------------------
@@ -194,11 +185,10 @@ class HeckeAlgebra:
         if w.length == 0:
             result = self.one
         else:
-            i = self.group.reduced_word(w)[0]
-            s = self.group.simple(i)
-            inner = self.bar_t(s * w)
-            shifted = HeckeElem(self, self._mul_gen_left(i, inner._c))
-            result = shifted - inner.scale(_V - _VINV)
+            i = w.word[0]
+            inner = self.bar_t(self.group.simple(i) * w)
+            shifted = HeckeElem(self, self._gen_action(i, inner._c, left=True))
+            result = shifted - inner.scale(_V_MINUS_VINV)
         self._bar_t[w] = result
         return result
 
@@ -207,7 +197,7 @@ class HeckeAlgebra:
         for w, p in a.items():
             pb = p.bar()
             for y, c in self.bar_t(w)._c.items():
-                total[y] = total.get(y, LaurentPoly.zero()) + pb * c
+                _accumulate(total, y, pb * c)
         return HeckeElem(self, total)
 
     # -- Kazhdan-Lusztig basis ---------------------------------------
@@ -227,33 +217,34 @@ class HeckeAlgebra:
             result = self.one
             self.kl_table.put(w, w, LaurentPoly.one())
         else:
+            # C_w = T_s C_{sw} + v^-1 C_{sw} - sum of mu(y, sw) C_y over
+            # the y < sw with s y < y; mu(y, sw) is the v^-1 coefficient
+            # of T_y in C_{sw}.
             i = self._pick_descent(w)
             s = self.group.simple(i)
-            sw = s * w
-            cs = self.element({s: _ONE, self.group.identity: _VINV})
-            result = self.multiply(cs, self.kl_element(sw))
-            for y in list(self.kl_table.column(sw)):
-                if y is sw:
-                    continue
-                if (s * y).length < y.length:
-                    m = self.mu(y, sw)
-                    if m:
-                        result = result - self.kl_element(y).scale(m)
+            inner = self.kl_element(s * w)
+            acc = self._gen_action(i, inner._c, left=True)
+            for y, p in inner._c.items():
+                _accumulate(acc, y, p.shift(-1))
+                m = p.coefficient(-1)
+                if m and (s * y).length < y.length:
+                    minus_m = LaurentPoly.term(-m, 0)
+                    for z, c in self.kl_element(y)._c.items():
+                        _accumulate(acc, z, c * minus_m)
+            result = HeckeElem(self, acc)
             self._store_column(w, result)
         self._c[w] = result
         return result
 
     def _store_column(self, w: WeylElem, c: HeckeElem) -> None:
-        assert c.coefficient(w) == _ONE, f"C_{w!r} is not unitriangular"
+        """Record C_w in the table, checking the shape of every coefficient."""
+        if c.coefficient(w) != _ONE:
+            raise ArithmeticError(f"C_{w!r} is not unitriangular")
         for y, p in c._c.items():
-            shifted = p.shift(w.length - y.length)
-            q_poly = LaurentPoly(
-                {e // 2: k for e, k in shifted.items() if not e % 2}
-            )
-            assert len(q_poly.items()) == len(shifted.items()), (
-                f"odd exponent in KL coefficient for ({y!r}, {w!r})"
-            )
-            self.kl_table.put(y, w, q_poly)
+            terms = [(e + w.length - y.length, k) for e, k in p.items()]
+            if any(e % 2 for e, _ in terms):
+                raise ArithmeticError(f"odd exponent in KL coefficient for ({y!r}, {w!r})")
+            self.kl_table.put(y, w, LaurentPoly({e // 2: k for e, k in terms}))
 
     def _rebuild_from_table(self, w: WeylElem) -> HeckeElem:
         coeffs = {}
@@ -300,3 +291,9 @@ class HeckeAlgebra:
         """Force computation of C_w for the given (default all) elements."""
         for w in elems if elems is not None else self.group.elements:
             self.kl_element(w)
+
+
+def _accumulate(out: dict, w: WeylElem, p: LaurentPoly) -> None:
+    """out[w] += p, for a dict of T-basis coefficients."""
+    q = out.get(w)
+    out[w] = p if q is None else q + p

@@ -28,7 +28,7 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         c: dict[int, int] = {}
         for e, k in items:
             if k:
@@ -36,6 +36,13 @@ class LaurentPoly:
                 if not c[e]:
                     del c[e]
         self._c = c
+
+    @classmethod
+    def _normalized(cls, c: dict[int, int]) -> "LaurentPoly":
+        """Wrap a dict that already holds no zero coefficient, without a copy."""
+        p = object.__new__(cls)
+        p._c = c
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -89,13 +96,17 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         for e, k in o._c.items():
-            c[e] = c.get(e, 0) + k
-        return LaurentPoly(c)
+            k += c.get(e, 0)
+            if k:
+                c[e] = k
+            else:
+                del c[e]
+        return LaurentPoly._normalized(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -k for e, k in self._c.items()})
+        return LaurentPoly._normalized({e: -k for e, k in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
@@ -118,7 +129,7 @@ class LaurentPoly:
             for e2, k2 in o._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + k1 * k2
-        return LaurentPoly(c)
+        return LaurentPoly._normalized({e: k for e, k in c.items() if k})
 
     __rmul__ = __mul__
 
@@ -143,11 +154,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1."""
-        return LaurentPoly({-e: k for e, k in self._c.items()})
+        return LaurentPoly._normalized({-e: k for e, k in self._c.items()})
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by v^exp."""
-        return LaurentPoly({e + exp: k for e, k in self._c.items()})
+        return LaurentPoly._normalized({e + exp: k for e, k in self._c.items()})
 
     def substitute_power(self, n: int) -> "LaurentPoly":
         """Substitute v -> v^n (n nonzero)."""

@@ -1,9 +1,15 @@
 """Weyl group elements, Bruhat order, cosets and the dot action.
 
-An element is its integer matrix on fundamental-weight coordinates;
-equal matrices are the same element, so there is no word-dependence
-anywhere.  Groups enumerate themselves on construction (types up to
-rank 8 stay comfortably small for the sizes used here).
+A group enumerates itself on construction (types up to rank 8 stay
+comfortably small for the sizes used here) and numbers its elements in
+canonical order.  The enumeration records, per simple reflection s_i,
+the tables ``right[i - 1][x] = index of w_x s_i`` and
+``left[i - 1][x] = index of s_i w_x``, after the per-generator shift
+tables of du Cloux's Coxeter program.  Products, reduced words,
+descents and the Bruhat order read these tables.  Each element is
+interned: there is one object per group element, equality is identity
+and the hash is the canonical index.  The integer matrix on
+fundamental-weight coordinates is kept only for the actions on weights.
 
 Reduced words use 1-based simple indices and are computed by stripping
 the smallest left descent, which fixes a canonical word per element.
@@ -39,18 +45,30 @@ def _matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
 
 
 class WeylElem:
-    """One group element; hash and equality come from the matrix."""
+    """One interned group element: equal elements are the same object."""
 
-    __slots__ = ("group", "matrix", "length", "index")
+    __slots__ = ("group", "matrix", "length", "index", "word")
 
-    def __init__(self, group: "WeylGroup", matrix: IntMatrix, length: int):
+    def __init__(self, group: "WeylGroup", matrix: IntMatrix, index: int,
+                 word: tuple[int, ...]):
         self.group = group
         self.matrix = matrix
-        self.length = length
-        self.index = -1  # position in canonical order, set by the group
+        self.index = index  # position in canonical order
+        self.word = word  # canonical reduced word
+        self.length = len(word)
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
-        return self.group.element(_matmul(self.matrix, other.matrix))
+        """Walk the word of the shorter factor through the shift tables."""
+        group = self.group
+        if other.length <= self.length:
+            x = self.index
+            for i in other.word:
+                x = group.right[i - 1][x]
+        else:
+            x = other.index
+            for i in reversed(self.word):
+                x = group.left[i - 1][x]
+        return group.elements[x]
 
     def inverse(self) -> "WeylElem":
         return self.group.inverse(self)
@@ -64,16 +82,8 @@ class WeylElem:
         shifted = tuple(x + 1 for x in weight)
         return tuple(x - 1 for x in _matvec(self.matrix, shifted))
 
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.group.reduced_word(self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElem) and self.matrix == other.matrix \
-            and self.group is other.group
-
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return self.index
 
     def __repr__(self) -> str:
         name = ".".join(map(str, self.word)) if self.length else "e"
@@ -85,37 +95,56 @@ class WeylGroup:
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.rank = datum.rank
-        self._by_matrix: dict[IntMatrix, WeylElem] = {}
-        self._words: dict[WeylElem, tuple[int, ...]] = {}
+        self.rank = n = datum.rank
         self._inverses: dict[WeylElem, WeylElem] = {}
-        self._bruhat: dict[tuple[WeylElem, WeylElem], bool] = {}
+        self._bruhat: dict[tuple[int, int], bool] = {}
 
-        n = self.rank
-        self._identity_matrix = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        self._simple_matrices = tuple(
+        # Breadth-first search from the identity: the search position
+        # of an element is a temporary name, its depth is its length.
+        simples = tuple(
             datum.reflections[datum.simple_root_index(i)] for i in range(1, n + 1)
         )
-        frontier = [self._register(self._identity_matrix)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in self._simple_matrices:
-                    m = _matmul(w.matrix, s)
-                    if m not in self._by_matrix:
-                        nxt.append(self._register(m))
-            frontier = nxt
-        for w in self._by_matrix.values():
-            self.reduced_word(w)
-        self.elements: tuple[WeylElem, ...] = tuple(
-            sorted(self._by_matrix.values(), key=lambda w: (w.length, w.word))
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        matrices = [identity]
+        found = {identity: 0}
+        depth = [0]
+        parent = [(0, 0)]  # (position of u, i) with this element = u s_i
+        right: list[list[int]] = [[] for _ in range(n)]
+        for pos, w in enumerate(matrices):  # grows while read: a queue
+            for i, s in enumerate(simples):
+                m = _matmul(w, s)
+                nxt = found.get(m)
+                if nxt is None:
+                    nxt = found[m] = len(matrices)
+                    matrices.append(m)
+                    depth.append(depth[pos] + 1)
+                    parent.append((pos, i))
+                right[i].append(nxt)
+        # s_i (u s_j) = (s_i u) s_j, and u comes earlier in the search.
+        left: list[list[int]] = [[row[0]] for row in right]
+        for pos in range(1, len(matrices)):
+            u, j = parent[pos]
+            for i in range(n):
+                left[i].append(right[j][left[i][u]])
+        words: list[tuple[int, ...]] = [()]
+        for pos in range(1, len(matrices)):
+            i = next(i for i in range(n) if depth[left[i][pos]] < depth[pos])
+            words.append((i + 1,) + words[left[i][pos]])
+
+        order = sorted(range(len(matrices)), key=lambda p: (depth[p], words[p]))
+        rank_of = {pos: k for k, pos in enumerate(order)}
+        self.right: tuple[tuple[int, ...], ...] = tuple(
+            tuple(rank_of[row[pos]] for pos in order) for row in right
         )
-        for i, w in enumerate(self.elements):
-            w.index = i
+        self.left: tuple[tuple[int, ...], ...] = tuple(
+            tuple(rank_of[row[pos]] for pos in order) for row in left
+        )
+        self.elements: tuple[WeylElem, ...] = tuple(
+            WeylElem(self, matrices[pos], k, words[pos]) for k, pos in enumerate(order)
+        )
+        self._by_matrix = {w.matrix: w for w in self.elements}
         self.identity = self.elements[0]
-        self.w0 = max(self.elements, key=lambda w: w.length)
+        self.w0 = self.elements[-1]
 
     @property
     def kind(self) -> str:
@@ -124,16 +153,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def _register(self, matrix: IntMatrix) -> WeylElem:
-        length = sum(
-            1
-            for beta in self.datum.pos_roots_omega
-            if self.datum.is_negative_omega(_matvec(matrix, beta))
-        )
-        w = WeylElem(self, matrix, length)
-        self._by_matrix[matrix] = w
-        return w
 
     def element(self, matrix: IntMatrix) -> WeylElem:
         try:
@@ -145,55 +164,44 @@ class WeylGroup:
         """The simple reflection s_i, 1-based."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple index {i} out of range")
-        return self._by_matrix[self._simple_matrices[i - 1]]
+        return self.elements[self.right[i - 1][0]]
 
     def reflection(self, root_index: int) -> WeylElem:
         """The reflection in the positive root numbered root_index."""
         return self._by_matrix[self.datum.reflections[root_index]]
 
     def word_elem(self, word: Iterable[int]) -> WeylElem:
-        out = self._by_matrix[self._identity_matrix]
+        """The product of the word's simple reflections; any word is accepted."""
+        x = 0
         for i in word:
-            out = out * self.simple(i)
-        return out
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"simple index {i} out of range")
+            x = self.right[i - 1][x]
+        return self.elements[x]
 
     def reduced_word(self, w: WeylElem) -> tuple[int, ...]:
         """Canonical reduced word, smallest left descent first."""
-        cached = self._words.get(w)
-        if cached is not None:
-            return cached
-        letters = []
-        cur = w
-        while cur.length:
-            for i in range(1, self.rank + 1):
-                nxt = self._by_matrix[_matmul(self._simple_matrices[i - 1], cur.matrix)]
-                if nxt.length < cur.length:
-                    letters.append(i)
-                    cur = nxt
-                    break
-        word = tuple(letters)
-        self._words[w] = word
-        return word
+        return w.word
 
     def inverse(self, w: WeylElem) -> WeylElem:
         cached = self._inverses.get(w)
         if cached is None:
-            cached = self.word_elem(reversed(self.reduced_word(w)))
+            cached = self.word_elem(reversed(w.word))
             self._inverses[w] = cached
         return cached
 
     # -- descents and Bruhat order -----------------------------------
 
     def left_descents(self, w: WeylElem) -> tuple[int, ...]:
+        elems, x = self.elements, w.index
         return tuple(
-            i for i in range(1, self.rank + 1)
-            if (self.simple(i) * w).length < w.length
+            i + 1 for i, row in enumerate(self.left) if elems[row[x]].length < w.length
         )
 
     def right_descents(self, w: WeylElem) -> tuple[int, ...]:
+        elems, x = self.elements, w.index
         return tuple(
-            i for i in range(1, self.rank + 1)
-            if (w * self.simple(i)).length < w.length
+            i + 1 for i, row in enumerate(self.right) if elems[row[x]].length < w.length
         )
 
     def bruhat_leq(self, x: WeylElem, y: WeylElem) -> bool:
@@ -202,21 +210,14 @@ class WeylGroup:
             return False
         if x is y or x.length == 0:
             return True
-        if y.length == 0:
-            return False
-        key = (x, y)
+        key = (x.index, y.index)
         cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = self.simple(self.reduced_word(y)[0])
-        sy = s * y
-        sx = s * x
-        if sx.length < x.length:
-            result = self.bruhat_leq(sx, sy)
-        else:
-            result = self.bruhat_leq(x, sy)
-        self._bruhat[key] = result
-        return result
+        if cached is None:
+            row, elems = self.left[y.word[0] - 1], self.elements
+            sx, sy = elems[row[x.index]], elems[row[y.index]]
+            cached = self.bruhat_leq(sx if sx.length < x.length else x, sy)
+            self._bruhat[key] = cached
+        return cached
 
     # -- parabolic structure -----------------------------------------
 

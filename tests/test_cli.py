@@ -207,6 +207,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_non_reduced_words_rejected(capsys):
+    assert run(["kl", "--type", "A1", "--y", "1", "--w", "1,1"]) == 1
+    assert "'1,1' is not a reduced word in A1" in capsys.readouterr().err
+    assert run(["kl", "--type", "A2", "--y", "2,2", "--w", "1,2,1"]) == 1
+    assert "not a reduced word" in capsys.readouterr().err
+    assert run(["translate", "--type", "A2", "--J", "1", "--x", "2,1,1"]) == 1
+    assert "not a reduced word" in capsys.readouterr().err
+
+
 def test_argparse_errors(capsys):
     assert run(["decomp", "--type", "A2", "--J", "x"]) == 1
     assert run(["decomp"]) == 1

@@ -129,3 +129,14 @@ def test_degree_bound(hecke_b3, b3):
             continue
         bound = (w.length - y.length - 1) // 2
         assert (p.max_exp() or 0) <= bound
+
+
+def test_store_column_rejects_bad_columns(a2):
+    hecke = HeckeAlgebra(a2)
+    w = a2.simple(1)
+    # leading coefficient 2 instead of 1
+    with pytest.raises(ArithmeticError, match="unitriangular"):
+        hecke._store_column(w, hecke.element({w: ONE + ONE}))
+    # v^0 on T_e would make P_{e,s} = q^(1/2): an odd power of v
+    with pytest.raises(ArithmeticError, match="odd exponent"):
+        hecke._store_column(w, hecke.element({w: ONE, a2.identity: ONE}))

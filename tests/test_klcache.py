@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,14 @@ def test_resave_is_byte_identical(tmp_path, a2):
     path2 = Path(cache_path(tmp_path, "again"))
     save_kl_table(target.kl_table, path2)
     assert path2.read_bytes() == first
+
+
+# sha256 of the full B3 table file, recorded before the in-memory table
+# was keyed by column: the file format must not drift with it.
+B3_TABLE_SHA256 = "93c3427ada1d229f4ffba47c93a8e467589d2bbb039ae02e1c485cf48565709c"
+
+
+def test_b3_cache_bytes_are_stable(tmp_path, b3):
+    path = Path(cache_path(tmp_path, "B3"))
+    assert save_kl_table(full_table(HeckeAlgebra(b3)), path) == 847
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == B3_TABLE_SHA256

@@ -2,6 +2,7 @@ import pytest
 
 from klblocks import NotCanonicalError, weyl_group
 from klblocks.checks import bruhat_closure_leq, double_quotient_weight_oracle
+from klblocks.weyl import weyl_group_of_kind
 
 
 def words(elems):
@@ -171,3 +172,47 @@ def test_dot_stabilizer(a2):
 def test_element_repr(a2):
     text = repr(a2.word_elem((1, 2)))
     assert "A2" in text
+
+
+def matmul(a, b):
+    """Plain integer matrix product, the route the shift tables replace."""
+    return tuple(
+        tuple(sum(a[m][t] * b[t][k] for t in range(len(b))) for k in range(len(b[0])))
+        for m in range(len(a))
+    )
+
+
+@pytest.mark.parametrize("kind", ["A3", "B3", "G2", "D4"])
+def test_shift_tables_match_matrix_products(kind):
+    group = weyl_group(kind)
+    by_matrix = {w.matrix: w for w in group.elements}
+    assert len(by_matrix) == group.order
+    datum = group.datum
+    for i in range(1, group.rank + 1):
+        s = datum.reflections[datum.simple_root_index(i)]
+        for w in group.elements:
+            assert group.right[i - 1][w.index] == by_matrix[matmul(w.matrix, s)].index
+            assert group.left[i - 1][w.index] == by_matrix[matmul(s, w.matrix)].index
+
+
+def test_all_products_match_matrix_products(b3):
+    by_matrix = {w.matrix: w for w in b3.elements}
+    for x in b3.elements:
+        for y in b3.elements:
+            assert x * y is by_matrix[matmul(x.matrix, y.matrix)]
+
+
+def test_elements_are_interned(a3):
+    for x in a3.elements:
+        assert hash(x) == x.index
+        for y in a3.elements:
+            assert (x == y) is (x is y)
+    assert a3.word_elem((1, 2, 1)) is a3.word_elem((2, 1, 2))
+
+
+@pytest.mark.parametrize("kind", ["B3", "D4"])
+def test_enumeration_is_deterministic(kind):
+    first, second = weyl_group_of_kind(kind), weyl_group_of_kind(kind)
+    assert words(first.elements) == words(second.elements)
+    assert first.right == second.right
+    assert first.left == second.left
