@@ -109,9 +109,13 @@ def _hecke_with_cache(group: WeylGroup):
     path = klcache.cache_path(directory, group.kind)
     if os.path.exists(path):
         klcache.load_kl_table(path, hecke)
+    loaded = len(hecke.kl_table)
 
     def flush():
-        klcache.save_kl_table(hecke.kl_table, path)
+        # entries are only ever added, so an unchanged count means the
+        # file already holds everything
+        if len(hecke.kl_table) > loaded:
+            klcache.save_kl_table(hecke.kl_table, path)
 
     return hecke, flush
 

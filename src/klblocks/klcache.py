@@ -17,8 +17,10 @@ Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import tempfile
 
 from .hecke import HeckeAlgebra, KLTable
 from .laurent import LaurentPoly
@@ -64,10 +66,21 @@ def save_kl_table(table: KLTable, path: str) -> int:
         blob.append(_pack_word(w.word))
         blob.append(struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs))
     data = b"".join(blob)
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    # A temp file of its own in the target directory: concurrent saves
+    # never share it, and os.replace swaps the finished file in at once.
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+        dir=os.path.dirname(path) or ".",
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return len(records)
 
 

@@ -3,13 +3,17 @@
 A monomial is an exponent tuple with one slot per simple root; the
 variable in slot i is the fundamental weight w_{i+1}.  Each variable
 carries graded degree 2, so a monomial of total exponent m has graded
-degree 2m.  Coefficients are exact fractions throughout.
+degree 2m.  Arithmetic is exact: a polynomial is stored as integer
+numerators over one positive common denominator in lowest terms, and
+the accessors hand its coefficients out as Fractions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from operator import add, attrgetter, index
 
 __all__ = ["RatPoly", "NonDivisibleError", "divide_by_linear"]
 
@@ -20,14 +24,20 @@ class NonDivisibleError(ValueError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+_DEN = attrgetter("_den")
+
+
 def _grlex_key(m: Monomial) -> tuple[int, Monomial]:
     return (sum(m), m)
 
 
 class RatPoly:
-    """Sparse polynomial with Fraction coefficients in a fixed variable count."""
+    """Sparse polynomial over Q in a fixed variable count.
 
-    __slots__ = ("nvars", "_t")
+    Stored as {monomial: integer numerator} over one denominator ``_den``.
+    """
+
+    __slots__ = ("nvars", "_t", "_den")
 
     def __init__(
         self,
@@ -42,22 +52,45 @@ class RatPoly:
                 raise ValueError(f"monomial {m} has wrong arity for {nvars} variables")
             c = Fraction(c)
             if c:
-                t[m] = t.get(m, Fraction(0)) + c
-                if not t[m]:
+                c += t.get(m, 0)
+                if c:
+                    t[m] = c
+                else:
                     del t[m]
-        self._t = t
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is already in lowest terms.
+        den = lcm(*(c.denominator for c in t.values()))
+        self._t = {m: c.numerator * (den // c.denominator) for m, c in t.items()}
+        self._den = den
+
+    @classmethod
+    def _normalized(cls, nvars: int, t: dict[Monomial, int], den: int = 1) -> "RatPoly":
+        """Wrap nonzero integer numerators over den > 0, without a copy.
+
+        Only a factor common to den and every numerator is divided out.
+        """
+        if den != 1:
+            g = gcd(den, *t.values())
+            if g != 1:
+                t = {m: c // g for m, c in t.items()}
+                den //= g
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p._t = t
+        p._den = den
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "RatPoly":
-        return cls(nvars)
+        return cls._normalized(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "RatPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> "RatPoly":
-        return cls.constant(nvars, 1)
+        return cls._normalized(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "RatPoly":
@@ -65,7 +98,7 @@ class RatPoly:
         if not 0 <= j < nvars:
             raise ValueError(f"variable slot {j} out of range for {nvars} variables")
         m = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, {m: Fraction(1)})
+        return cls._normalized(nvars, {m: 1})
 
     @classmethod
     def linear(cls, nvars: int, coeffs: Sequence) -> "RatPoly":
@@ -73,26 +106,36 @@ class RatPoly:
         return cls(
             nvars,
             {
-                tuple(1 if i == j else 0 for i in range(nvars)): Fraction(c)
+                tuple(1 if i == j else 0 for i in range(nvars)): c
                 for j, c in enumerate(coeffs)
                 if c
             },
         )
 
+    def _fraction(self, c: int) -> Fraction:
+        return Fraction(c, self._den) if self._den != 1 else Fraction(c)
+
     def items(self) -> tuple[tuple[Monomial, Fraction], ...]:
-        return tuple(sorted(self._t.items(), key=lambda mc: _grlex_key(mc[0])))
+        return tuple(
+            (m, self._fraction(c))
+            for m, c in sorted(self._t.items(), key=lambda mc: _grlex_key(mc[0]))
+        )
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._t.get(tuple(m), Fraction(0))
+        return self._fraction(self._t.get(tuple(m), 0))
 
     def constant_term(self) -> Fraction:
-        return self._t.get((0,) * self.nvars, Fraction(0))
+        return self._fraction(self._t.get((0,) * self.nvars, 0))
 
     def is_zero(self) -> bool:
         return not self._t
 
     def __len__(self) -> int:
         return len(self._t)
+
+    def degree_in(self, j: int) -> int:
+        """Highest power of the variable in slot j (0 for the zero polynomial)."""
+        return max((m[j] for m in self._t), default=0)
 
     # -- arithmetic --------------------------------------------------
 
@@ -105,45 +148,67 @@ class RatPoly:
             return RatPoly.constant(self.nvars, other)
         return None
 
+    def _plus(self, o: "RatPoly", sign: int) -> "RatPoly":
+        """self + sign * o over the common denominator."""
+        den = lcm(self._den, o._den)
+        a = den // self._den
+        b = sign * (den // o._den)
+        t = {m: c * a for m, c in self._t.items()} if a != 1 else dict(self._t)
+        for m, c in o._t.items():
+            c = t.get(m, 0) + c * b
+            if c:
+                t[m] = c
+            else:
+                del t[m]
+        return RatPoly._normalized(self.nvars, t, den)
+
     def __add__(self, other) -> "RatPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = dict(self._t)
-        for m, c in o._t.items():
-            t[m] = t.get(m, Fraction(0)) + c
-        return RatPoly(self.nvars, t)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(self.nvars, {m: -c for m, c in self._t.items()})
+        return RatPoly._normalized(
+            self.nvars, {m: -c for m, c in self._t.items()}, self._den
+        )
 
     def __sub__(self, other) -> "RatPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other) -> "RatPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
-            return RatPoly(self.nvars, {m: c * c0 for m, c in self._t.items()})
+            if not c0:
+                return RatPoly.zero(self.nvars)
+            k = c0.numerator
+            return RatPoly._normalized(
+                self.nvars,
+                {m: c * k for m, c in self._t.items()},
+                self._den * c0.denominator,
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t: dict[Monomial, Fraction] = {}
+        t: dict[Monomial, int] = {}
         for m1, c1 in self._t.items():
             for m2, c2 in o._t.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                t[m] = t.get(m, Fraction(0)) + c1 * c2
-        return RatPoly(self.nvars, t)
+                m = tuple(map(add, m1, m2))
+                t[m] = t.get(m, 0) + c1 * c2
+        return RatPoly._normalized(
+            self.nvars, {m: c for m, c in t.items() if c}, self._den * o._den
+        )
 
     __rmul__ = __mul__
 
@@ -159,7 +224,7 @@ class RatPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._t == o._t
+        return self._den == o._den and self._t == o._t
 
     __hash__ = None  # mutable-adjacent container; not used as a key
 
@@ -167,10 +232,13 @@ class RatPoly:
 
     def graded_components(self) -> dict[int, "RatPoly"]:
         """Split by graded degree (2 * total exponent)."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
+        parts: dict[int, dict[Monomial, int]] = {}
         for m, c in self._t.items():
             parts.setdefault(2 * sum(m), {})[m] = c
-        return {d: RatPoly(self.nvars, t) for d, t in sorted(parts.items())}
+        return {
+            d: RatPoly._normalized(self.nvars, t, self._den)
+            for d, t in sorted(parts.items())
+        }
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self._t}
@@ -187,6 +255,25 @@ class RatPoly:
 
     # -- substitution ------------------------------------------------
 
+    def substitute_powers(self, j: int, images: Sequence["RatPoly"]) -> "RatPoly":
+        """Replace each power w_j^k by images[k], leaving the other variables alone.
+
+        One pass over the terms into one accumulator; images must reach
+        the highest power of w_j present (see ``degree_in``).
+        """
+        den = lcm(*map(_DEN, images))
+        t: dict[Monomial, int] = {}
+        for m, c in self._t.items():
+            image = images[m[j]]
+            c *= den // image._den
+            rest = m[:j] + (0,) + m[j + 1:]
+            for mi, ci in image._t.items():
+                key = tuple(map(add, rest, mi))
+                t[key] = t.get(key, 0) + c * ci
+        return RatPoly._normalized(
+            self.nvars, {m: c for m, c in t.items() if c}, self._den * den
+        )
+
     def substitute_single(
         self, j: int, image: "RatPoly", powers: list["RatPoly"] | None = None
     ) -> "RatPoly":
@@ -197,29 +284,28 @@ class RatPoly:
         """
         if powers is None:
             powers = [RatPoly.one(self.nvars)]
-        out = RatPoly.zero(self.nvars)
-        for m, c in self._t.items():
-            e = m[j]
-            while len(powers) <= e:
-                powers.append(powers[-1] * image)
-            rest = tuple(0 if i == j else a for i, a in enumerate(m))
-            out = out + RatPoly(self.nvars, {rest: c}) * powers[e]
-        return out
+        for _ in range(len(powers), self.degree_in(j) + 1):
+            powers.append(powers[-1] * image)
+        return self.substitute_powers(j, powers)
 
     def apply_matrix(self, matrix: Sequence[Sequence[int]]) -> "RatPoly":
         """Substitute variable j -> sum_i matrix[i][j] * w_{i+1}.
 
-        This is the action of a Weyl element given by its matrix on
-        fundamental-weight coordinates.
+        This is the action of a Weyl element given by its integer matrix
+        on fundamental-weight coordinates.
         """
         n = self.nvars
+        unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
         images = [
-            RatPoly.linear(n, [matrix[i][j] for i in range(n)]) for j in range(n)
+            RatPoly._normalized(
+                n, {unit[i]: index(matrix[i][j]) for i in range(n) if matrix[i][j]}
+            )
+            for j in range(n)
         ]
         pow_cache: list[list[RatPoly]] = [[RatPoly.one(n)] for _ in range(n)]
-        out: dict[Monomial, Fraction] = {}
+        t: dict[Monomial, int] = {}
         for m, c in self._t.items():
-            factor = RatPoly.constant(n, c)
+            factor = RatPoly._normalized(n, {(0,) * n: c})
             for j, e in enumerate(m):
                 if not e:
                     continue
@@ -228,15 +314,15 @@ class RatPoly:
                     cache.append(cache[-1] * images[j])
                 factor = factor * cache[e]
             for mm, cc in factor._t.items():
-                out[mm] = out.get(mm, Fraction(0)) + cc
-        return RatPoly(n, out)
+                t[mm] = t.get(mm, 0) + cc
+        return RatPoly._normalized(n, {m: c for m, c in t.items() if c}, self._den)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest monomial in graded-lex order with its coefficient."""
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
         m = max(self._t, key=_grlex_key)
-        return m, self._t[m]
+        return m, self._fraction(self._t[m])
 
     # -- rendering ---------------------------------------------------
 
@@ -274,7 +360,9 @@ def divide_by_linear(f: RatPoly, linear: RatPoly) -> RatPoly:
     """Exact quotient f / linear for a degree-2 homogeneous divisor.
 
     Works by graded-lex leading-term elimination; raises
-    NonDivisibleError when the division leaves a remainder.
+    NonDivisibleError when the division leaves a remainder.  The
+    Demazure operators do not use it: it is the independent route that
+    the checks compare them against.
     """
     if linear.is_zero() or linear.graded_degree() != 2:
         raise ValueError("divisor must be homogeneous of graded degree 2")

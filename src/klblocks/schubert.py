@@ -7,6 +7,9 @@ is expanded over the Schubert basis {X_w}: the class X_w is
 represented by the polynomial D_w = Delta_{w^-1 w_0}(D), where D is
 the normalized product of the positive roots, and a polynomial f is
 projected to the basis by reading off degree-0 parts of Delta_w(f).
+Each Delta_i is applied in closed form, monomial by monomial, to the
+integer numerators of a polynomial; the representatives are integer
+polynomials over one denominator that divides |W|.
 
 Products are computed through polynomial representatives followed by
 projection; the Chevalley rule is a separate route used to
@@ -22,7 +25,9 @@ from typing import Iterable, Mapping
 
 from .linalg import rank as matrix_rank
 from .linalg import solve as linear_solve
-from .ratpoly import RatPoly, divide_by_linear
+# divide_by_linear is not called here any more; the name stays importable
+# from this module for code that looks it up here.
+from .ratpoly import RatPoly, divide_by_linear  # noqa: F401
 from .weyl import WeylElem, WeylGroup
 
 __all__ = [
@@ -152,6 +157,8 @@ class CoinvariantAlgebra:
             RatPoly.variable(n, i) - self._alpha[i] for i in range(n)
         )
         self._si_powers: list[list[RatPoly]] = [[RatPoly.one(n)] for _ in range(n)]
+        # _divided[i-1][k] is Delta_i(w_i^k), grown on demand
+        self._divided: list[list[RatPoly]] = [[RatPoly.zero(n)] for _ in range(n)]
         self._reps: dict[WeylElem, RatPoly] = {}
         self._length_bucket: dict[int, tuple[WeylElem, ...]] = {}
         for w in group.elements:
@@ -184,8 +191,19 @@ class CoinvariantAlgebra:
     # -- Demazure operators ------------------------------------------
 
     def demazure_simple(self, i: int, f: RatPoly) -> RatPoly:
-        """(f - s_i f) / alpha_i, exact."""
-        return divide_by_linear(f - self.act_simple(i, f), self._alpha[i - 1])
+        """(f - s_i f) / alpha_i, in closed form on monomials.
+
+        Every w_j with j != i is s_i-fixed, so Delta_i only expands the
+        powers of w_i: Delta_i(w_i^k) = sum_{a+b=k-1} w_i^a (s_i w_i)^b,
+        built once per (i, k).  No division; integer input gives integer
+        output.
+        """
+        j = i - 1
+        table = self._divided[j]
+        for k in range(len(table), f.degree_in(j) + 1):
+            power = RatPoly.variable(self.nvars, j) ** (k - 1)
+            table.append(power + self._si_image[j] * table[k - 1])
+        return f.substitute_powers(j, table)
 
     def demazure(self, w: WeylElem, f: RatPoly) -> RatPoly:
         """Composite along the canonical reduced word of w."""

@@ -1,6 +1,7 @@
 from klblocks import HeckeAlgebra, run_all_checks
 from klblocks.checks import (
     CheckResult,
+    _Suite,
     bruhat_closure_leq,
     double_quotient_weight_oracle,
     kl_bar_solve,
@@ -51,3 +52,12 @@ def test_run_all_checks_b2_with_progress():
     results = run_all_checks("B2", progress=seen.append)
     assert [r.line() for r in results if not r.passed] == []
     assert seen == results
+
+
+def test_poincare_duality_computes_beyond_the_product_cap():
+    # B3 is past the exhaustive cap; the check samples pairs itself
+    # instead of deferring to the gram check.
+    result = _Suite("B3").check_poincare_duality()
+    assert result.passed
+    assert "covered" not in result.detail
+    assert result.detail.startswith("sampled")

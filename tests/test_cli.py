@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from klblocks import (
     matrix_from_json,
     standard_block,
 )
+from klblocks import klcache
 from klblocks.cli import main
 from klblocks.schubert import CoinvariantAlgebra
 
@@ -221,3 +223,39 @@ def test_argparse_errors(capsys):
     assert run(["decomp"]) == 1
     assert run(["no-such-command", "--type", "A2"]) == 1
     capsys.readouterr()
+
+
+def test_warm_cache_is_not_rewritten(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(tmp_path / "cache"))
+    saves = []
+    real_save = klcache.save_kl_table
+
+    def save(table, path):
+        saves.append(len(table))
+        return real_save(table, path)
+
+    monkeypatch.setattr(klcache, "save_kl_table", save)
+    argv = ["kl", "--type", "A2", "--y", "e", "--w", "1,2"]
+    assert run(argv) == 0
+    assert len(saves) == 1
+    assert run(argv) == 0
+    assert len(saves) == 1  # every entry came from the file
+    assert run(["decomp", "--type", "A2"]) == 0
+    assert len(saves) == 2 and saves[1] > saves[0]
+    capsys.readouterr()
+
+
+# sha256 of stdout, recorded before the Schubert layer moved to integer
+# divided differences: the output must not drift with the engine.
+@pytest.mark.parametrize("argv, digest", [
+    (["schubert", "--type", "B3", "--x", "1,2", "--y", "3,2"],
+     "965852cf21bec4c6174e39b1cc54eff596a07a3ebdf5243a0490af4101b6903d"),
+    (["gram", "--type", "B3", "--J", "1", "--format", "json"],
+     "68ac685ac833a67558a4d7a25e8f22a7cc79907050a593017d3ac772646b3c39"),
+    (["gram", "--type", "G2", "--format", "table"],
+     "8c51c8e5d19a24a2c5477989dac426a5261f68aa933eaebc78185265aba200c5"),
+])
+def test_schubert_and_gram_bytes_are_stable(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

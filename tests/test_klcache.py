@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,37 @@ def test_b3_cache_bytes_are_stable(tmp_path, b3):
     path = Path(cache_path(tmp_path, "B3"))
     assert save_kl_table(full_table(HeckeAlgebra(b3)), path) == 847
     assert hashlib.sha256(path.read_bytes()).hexdigest() == B3_TABLE_SHA256
+
+
+def test_interleaved_saves_do_not_collide(tmp_path, a2, monkeypatch):
+    # A second save runs to completion while the first sits between its
+    # write and its rename; with a shared temp name the first would then
+    # rename a file that is gone, or one holding the other table.
+    path = Path(cache_path(tmp_path, "A2"))
+    full = full_table(HeckeAlgebra(a2))
+    partial = HeckeAlgebra(weyl_group("A2"))
+    partial.kl_element(a2.simple(1))
+    real_replace = os.replace
+    nested = []
+
+    def replace(src, dst):
+        if not nested:
+            nested.append(src)
+            assert save_kl_table(partial.kl_table, path) == len(partial.kl_table)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert save_kl_table(full, path) == len(full)
+    assert nested
+    assert load_kl_table(path, HeckeAlgebra(weyl_group("A2"))) == len(full)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, a2, monkeypatch):
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError):
+        save_kl_table(full_table(HeckeAlgebra(a2)), cache_path(tmp_path, "A2"))
+    assert list(tmp_path.iterdir()) == []

@@ -9,8 +9,10 @@ from klblocks import (
     NotInParabolicError,
     RatPoly,
     coinvariant_algebra,
+    divide_by_linear,
     weyl_group,
 )
+from klblocks.checks import _rand_poly
 
 J1 = frozenset({1})
 
@@ -189,3 +191,23 @@ def test_g2_duality_spot_check():
     y = w0 * x
     prod = coinv.multiply(coinv.schubert_class(x), coinv.schubert_class(y))
     assert coinv.trace(prod) == 1
+
+
+def test_closed_form_demazure_matches_division():
+    # divide_by_linear is the independent route: (f - s_i f) / alpha_i by
+    # long division, where demazure_simple expands powers of w_i directly.
+    for kind in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "F4"):
+        coinv = coinvariant_algebra(kind)
+        n = coinv.nvars
+        rng = random.Random(f"demazure {kind}")
+        for i in range(1, n + 1):
+            for trial in range(12):
+                f = _rand_poly(rng, n, 5)
+                if trial % 3 == 0:
+                    f = f * Fraction(rng.randint(1, 7), rng.randint(1, 7))
+                alpha = coinv.alpha_poly(i)
+                want = divide_by_linear(f - coinv.act_simple(i, f), alpha)
+                got = coinv.demazure_simple(i, f)
+                assert got == want, (kind, i, f)
+                if all(c.denominator == 1 for _, c in f.items()):
+                    assert all(c.denominator == 1 for _, c in got.items())
