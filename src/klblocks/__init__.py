@@ -13,142 +13,90 @@ blocks, with every result cross-validated along an independent route.
 '1+q'
 """
 
-from functools import lru_cache
+from __future__ import annotations
 
-from .blocks import (
-    BlockDesc,
-    BSReport,
-    GradedMatrix,
-    NotAntidominantError,
-    NotReducedError,
-    UnsupportedBlockError,
-    bott_samelson_decomposition,
-    decomposition_matrix,
-    graded_cartan_matrix,
-    graded_length_report,
-    inverse_decomposition_matrix,
-    make_block,
-    parabolic_case_decomposition,
-    projective_verma_flag,
-    singular_case_decomposition,
-    standard_block,
-    standard_weight,
-    translate_onto_wall,
-    translate_out_of_wall,
-    translation_composite,
-    ungraded_specialization,
-    vp_center,
-    vp_graded_dimension,
-)
-from .checks import CheckResult, run_all_checks
-from .hecke import HeckeAlgebra, HeckeElem, KLTable
-from .klcache import cache_path, load_kl_table, save_kl_table
-from .laurent import LaurentPoly
-from .linalg import det, int_matrix_inverse, rank, rref, solve
-from .ratpoly import NonDivisibleError, RatPoly, divide_by_linear
-from .roots import RootDatum, UnknownTypeError, build_root_system, cartan_matrix
-from .schubert import (
-    CellularDatum,
-    CoinvariantAlgebra,
-    FreeBasisReport,
-    NotFreeError,
-    NotInParabolicError,
-    SchubertElem,
-)
-from .serialize import (
-    matrix_from_csv,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    matrix_to_table,
-    parse_word_label,
-    word_label,
-)
-from .weyl import NotCanonicalError, WeylElem, WeylGroup, weyl_group_of_kind
+import importlib
+from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .hecke import HeckeAlgebra
+    from .schubert import CoinvariantAlgebra
+    from .weyl import WeylGroup
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSReport",
-    "BlockDesc",
-    "CellularDatum",
-    "CheckResult",
-    "CoinvariantAlgebra",
-    "FreeBasisReport",
-    "GradedMatrix",
-    "HeckeAlgebra",
-    "HeckeElem",
-    "KLTable",
-    "LaurentPoly",
-    "NonDivisibleError",
-    "NotAntidominantError",
-    "NotCanonicalError",
-    "NotFreeError",
-    "NotInParabolicError",
-    "NotReducedError",
-    "RatPoly",
-    "RootDatum",
-    "SchubertElem",
-    "UnknownTypeError",
-    "UnsupportedBlockError",
-    "WeylElem",
-    "WeylGroup",
-    "bott_samelson_decomposition",
-    "build_root_system",
-    "cache_path",
-    "cartan_matrix",
-    "coinvariant_algebra",
-    "decomposition_matrix",
-    "det",
-    "divide_by_linear",
-    "graded_cartan_matrix",
-    "graded_length_report",
-    "hecke_algebra",
-    "int_matrix_inverse",
-    "inverse_decomposition_matrix",
-    "load_kl_table",
-    "make_block",
-    "matrix_from_csv",
-    "matrix_from_json",
-    "matrix_to_csv",
-    "matrix_to_json",
-    "matrix_to_table",
-    "parabolic_case_decomposition",
-    "parse_word_label",
-    "projective_verma_flag",
-    "rank",
-    "rref",
-    "run_all_checks",
-    "save_kl_table",
-    "singular_case_decomposition",
-    "solve",
-    "standard_block",
-    "standard_weight",
-    "translate_onto_wall",
-    "translate_out_of_wall",
-    "translation_composite",
-    "ungraded_specialization",
-    "vp_center",
-    "vp_graded_dimension",
-    "weyl_group",
-    "weyl_group_of_kind",
-    "word_label",
-]
+# Exported names by defining submodule.  ``import klblocks`` loads none
+# of them: module ``__getattr__`` imports a submodule the first time one
+# of its names is looked up, so a CLI command compiles only the layers it
+# runs.
+_EXPORTS = {
+    "blocks": (
+        "BSReport", "BlockDesc", "GradedMatrix", "NotAntidominantError",
+        "NotReducedError", "UnsupportedBlockError", "bott_samelson_decomposition",
+        "decomposition_matrix", "graded_cartan_matrix", "graded_length_report",
+        "inverse_decomposition_matrix", "make_block", "parabolic_case_decomposition",
+        "projective_verma_flag", "singular_case_decomposition", "standard_block",
+        "standard_weight", "translate_onto_wall", "translate_out_of_wall",
+        "translation_composite", "ungraded_specialization", "vp_center",
+        "vp_graded_dimension",
+    ),
+    "checks": ("CheckResult", "run_all_checks"),
+    "hecke": ("HeckeAlgebra", "HeckeElem", "KLTable"),
+    "klcache": ("cache_path", "load_kl_table", "save_kl_table"),
+    "laurent": ("LaurentPoly",),
+    "linalg": ("det", "int_matrix_inverse", "rank", "rref", "solve"),
+    "ratpoly": ("NonDivisibleError", "RatPoly", "divide_by_linear"),
+    "roots": ("RootDatum", "UnknownTypeError", "build_root_system", "cartan_matrix"),
+    "schubert": (
+        "CellularDatum", "CoinvariantAlgebra", "FreeBasisReport", "NotFreeError",
+        "NotInParabolicError", "SchubertElem",
+    ),
+    "serialize": (
+        "matrix_from_csv", "matrix_from_json", "matrix_to_csv", "matrix_to_json",
+        "matrix_to_table", "parse_word_label", "word_label",
+    ),
+    "weyl": ("NotCanonicalError", "WeylElem", "WeylGroup", "weyl_group_of_kind"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_SOURCE, "coinvariant_algebra", "hecke_algebra", "weyl_group"])
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
 
 
 @lru_cache(maxsize=None)
 def weyl_group(kind: str) -> WeylGroup:
     """Shared Weyl group instance for a type string like 'B3'."""
+    from .weyl import weyl_group_of_kind
+
     return weyl_group_of_kind(kind)
 
 
 @lru_cache(maxsize=None)
 def hecke_algebra(kind: str) -> HeckeAlgebra:
     """Shared Hecke algebra over the shared group of this type."""
+    from .hecke import HeckeAlgebra
+
     return HeckeAlgebra(weyl_group(kind))
 
 
 @lru_cache(maxsize=None)
 def coinvariant_algebra(kind: str) -> CoinvariantAlgebra:
     """Shared coinvariant algebra over the shared group of this type."""
+    from .schubert import CoinvariantAlgebra
+
     return CoinvariantAlgebra(weyl_group(kind))

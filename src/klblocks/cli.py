@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
 
 from . import klcache, serialize
 from .blocks import (
@@ -32,11 +31,8 @@ from .blocks import (
     vp_center,
     vp_graded_dimension,
 )
-from .checks import run_all_checks
 from .hecke import HeckeAlgebra
-from .laurent import LaurentPoly
 from .roots import UnknownTypeError
-from .schubert import CoinvariantAlgebra
 from .serialize import matrix_to_csv, matrix_to_json, matrix_to_table, word_label
 from .weyl import WeylGroup, weyl_group_of_kind
 
@@ -107,9 +103,18 @@ def _hecke_with_cache(group: WeylGroup):
         return hecke, lambda: None
     os.makedirs(directory, exist_ok=True)
     path = klcache.cache_path(directory, group.kind)
+    loaded = 0
     if os.path.exists(path):
-        klcache.load_kl_table(path, hecke)
-    loaded = len(hecke.kl_table)
+        try:
+            klcache.load_kl_table(path, hecke)
+        except ValueError as exc:
+            print(f"klblocks: warning: ignoring KL cache: {exc}", file=sys.stderr)
+            # drop what was merged before the bad record; -1 makes flush
+            # replace the bad file even if nothing new is computed
+            hecke = HeckeAlgebra(group)
+            loaded = -1
+        else:
+            loaded = len(hecke.kl_table)
 
     def flush():
         # entries are only ever added, so an unchanged count means the
@@ -256,6 +261,8 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_schubert(args) -> int:
+    from .schubert import CoinvariantAlgebra
+
     group = _group(args)
     coinv = CoinvariantAlgebra(group)
     x = _element(group, args.x)
@@ -282,6 +289,8 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    from .schubert import CoinvariantAlgebra
+
     group = _group(args)
     coinv = CoinvariantAlgebra(group)
     reps, gram = coinv.gram_matrix(args.J)
@@ -437,6 +446,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_check_all(args) -> int:
+    from .checks import run_all_checks
+
     results = run_all_checks(args.type, progress=lambda r: print(r.line()))
     failed = [r for r in results if not r.passed]
     print()

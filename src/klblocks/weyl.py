@@ -1,8 +1,8 @@
 """Weyl group elements, Bruhat order, cosets and the dot action.
 
-A group enumerates itself on construction (types up to rank 8 stay
-comfortably small for the sizes used here) and numbers its elements in
-canonical order.  The enumeration records, per simple reflection s_i,
+A group enumerates itself on construction (``weyl_group_of_kind``
+refuses more than ``MAX_GROUP_ORDER`` elements) and numbers its elements
+in canonical order.  The enumeration records, per simple reflection s_i,
 the tables ``right[i - 1][x] = index of w_x s_i`` and
 ``left[i - 1][x] = index of s_i w_x``, after the per-generator shift
 tables of du Cloux's Coxeter program.  Products, reduced words,
@@ -19,11 +19,27 @@ order.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable, Sequence
 
-from .roots import RootDatum, Weight, build_root_system, rho
+from .roots import RootDatum, Weight, build_root_system, parse_kind, rho
 
 __all__ = ["NotCanonicalError", "WeylElem", "WeylGroup"]
+
+# Largest |W| that weyl_group_of_kind enumerates.  E6 (51 840 elements)
+# builds in about 20 s and 100 MB; E7, E8, A8, B7, C7 and D7 could not
+# finish and are refused before any work is done.
+MAX_GROUP_ORDER = 100_000
+
+_FAMILY_ORDER = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51_840, 7: 2_903_040, 8: 696_729_600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -335,6 +351,23 @@ class WeylGroup:
         return f"WeylGroup({self.kind}, order {self.order})"
 
 
+def weyl_group_order(kind: str) -> int:
+    """|W| for a type string, from the family's order formula."""
+    family, n = parse_kind(kind)
+    return _FAMILY_ORDER[family](n)
+
+
 def weyl_group_of_kind(kind: str) -> WeylGroup:
-    """Convenience constructor from a type string like 'B3'."""
+    """Convenience constructor from a type string like 'B3'.
+
+    Raises ValueError, before enumerating, for a group of more than
+    MAX_GROUP_ORDER elements.
+    """
+    order = weyl_group_order(kind)
+    if order > MAX_GROUP_ORDER:
+        family, n = parse_kind(kind)
+        raise ValueError(
+            f"{family}{n} has |W| = {order}, above the cap of "
+            f"{MAX_GROUP_ORDER} elements"
+        )
     return WeylGroup(build_root_system(kind))

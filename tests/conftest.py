@@ -1,6 +1,18 @@
+import os
+
 import pytest
 
+import klblocks
 from klblocks import coinvariant_algebra, hecke_algebra, weyl_group
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter that imports this klblocks."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(klblocks.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

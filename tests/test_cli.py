@@ -1,5 +1,9 @@
+import ast
 import hashlib
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -12,7 +16,9 @@ from klblocks import (
 )
 from klblocks import klcache
 from klblocks.cli import main
+from klblocks.hecke import HeckeAlgebra
 from klblocks.schubert import CoinvariantAlgebra
+from klblocks.weyl import weyl_group_of_kind
 
 
 def run(argv):
@@ -259,3 +265,65 @@ def test_schubert_and_gram_bytes_are_stable(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Prints the klblocks submodules loaded by one command, after its output.
+_IMPORT_PROBE = """
+import sys
+from klblocks.cli import main
+main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.startswith("klblocks.")))
+"""
+_UNUSED_BY_KL = {"klblocks.checks", "klblocks.schubert", "klblocks.ratpoly",
+                 "klblocks.linalg"}
+
+
+def _loaded_modules(argv, env):
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_kl_command_loads_only_its_layers(child_env):
+    loaded = _loaded_modules(["kl", "--type", "A2", "--y", "1", "--w", "1,2"], child_env)
+    assert "klblocks.hecke" in loaded
+    assert not loaded & _UNUSED_BY_KL
+
+
+def test_schubert_command_loads_the_schubert_layer(child_env):
+    loaded = _loaded_modules(["schubert", "--type", "A2", "--x", "1", "--y", "2"],
+                             child_env)
+    assert "klblocks.schubert" in loaded
+    assert "klblocks.checks" not in loaded
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:-1],
+    lambda data: data[: len(data) // 2],
+    lambda data: b"XXXX" + data[4:],
+], ids=["truncated-tail", "truncated-half", "bad-magic"])
+def test_corrupt_cache_is_recomputed_and_rewritten(capsys, tmp_path, monkeypatch,
+                                                   corrupt):
+    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(tmp_path))
+    argv = ["kl", "--type", "A3", "--y", "2", "--w", "2,1,3,2"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    cache_file = tmp_path / "A3.klt"
+    good = cache_file.read_bytes()
+    cache_file.write_bytes(corrupt(good))
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1+q\n"
+    assert captured.err.startswith("klblocks: warning: ignoring KL cache")
+    assert cache_file.read_bytes() == good
+    assert klcache.load_kl_table(cache_file, HeckeAlgebra(weyl_group_of_kind("A3"))) > 0
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("1+q\n", "")
+
+
+def test_oversized_type_fails_fast(capsys):
+    start = time.perf_counter()
+    assert run(["root-system", "--type", "E8"]) == 1
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "696729600" in err and "100000" in err

@@ -2,7 +2,7 @@ import pytest
 
 from klblocks import NotCanonicalError, weyl_group
 from klblocks.checks import bruhat_closure_leq, double_quotient_weight_oracle
-from klblocks.weyl import weyl_group_of_kind
+from klblocks.weyl import MAX_GROUP_ORDER, weyl_group_of_kind, weyl_group_order
 
 
 def words(elems):
@@ -216,3 +216,25 @@ def test_enumeration_is_deterministic(kind):
     assert words(first.elements) == words(second.elements)
     assert first.right == second.right
     assert first.left == second.left
+
+
+@pytest.mark.parametrize("kind", ["A1", "A4", "B2", "B4", "C3", "D4", "D5", "F4", "G2"])
+def test_order_formula_matches_enumeration(kind):
+    assert weyl_group_order(kind) == len(weyl_group_of_kind(kind).elements)
+
+
+@pytest.mark.parametrize("kind, order", [
+    ("E7", 2_903_040), ("E8", 696_729_600), ("A8", 362_880),
+    ("B7", 645_120), ("C7", 645_120), ("D7", 322_560),
+])
+def test_oversized_groups_are_refused_before_enumeration(kind, order):
+    assert weyl_group_order(kind) == order > MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match=f"{order}.*{MAX_GROUP_ORDER}"):
+        weyl_group_of_kind(kind)
+
+
+def test_largest_accepted_groups_are_under_the_cap():
+    # E6, A7 and B6 are enumerated; building them takes seconds, so only
+    # their orders are checked here.
+    for kind, order in (("E6", 51_840), ("A7", 40_320), ("B6", 46_080)):
+        assert weyl_group_order(kind) == order <= MAX_GROUP_ORDER
