@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from itertools import combinations
 
@@ -28,6 +29,8 @@ from klblocks import (
     vp_graded_dimension,
     weyl_group,
 )
+from klblocks.cli import main
+from klblocks.serialize import matrix_to_json
 
 V = LaurentPoly.gen()
 ONE = LaurentPoly.one()
@@ -258,3 +261,44 @@ def test_ungraded_specialization(a2, hecke_a2):
     ]
     assert product == [[int(a == b) for b in range(size)] for a in range(size)]
     assert all(x in (0, 1) for row in d1 for x in row)
+
+
+# sha256 digests recorded before d and e were read off the KL columns and
+# before the block-matrix product skipped zero entries: the block layer's
+# output must not drift with its engine.  One digest per type covers
+# matrix_to_json of d, e and the Cartan matrix for every (I, J) pair.
+@pytest.mark.parametrize("kind, digest", [
+    ("A2", "35242a18242f17a5919595553b1a704eb7a824154e75c0eced3b9f2fbafc62b5"),
+    ("B2", "74d7e64b712546f9d049cf5ecc9957663a4b2a489ac33d4251a1f834dfd5ae09"),
+    ("G2", "8f7bef29cf465a8d1838d7f942b0dcf5e1cd4af7bb7a16f0e7ebaa78173f12d6"),
+    ("A3", "f3ad57fe999a87decf4cc7ea1e17db5f46c595793e5c0219811cc3b30e1d5472"),
+    ("B3", "95f2536185b5794da8782fde1271627403139ce861bac90c4547914c5087a5b1"),
+])
+def test_block_matrix_bytes_are_stable(kind, digest):
+    group = weyl_group(kind)
+    h = hecke_algebra(kind)
+    sha = hashlib.sha256()
+    for I in all_subsets(group.rank):
+        for J in all_subsets(group.rank):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                block = standard_block(group, I, J)
+            for build in (decomposition_matrix, inverse_decomposition_matrix,
+                          graded_cartan_matrix):
+                sha.update(matrix_to_json(build(block, h)).encode())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["decomp", "--type", "D4", "--format", "csv"],
+     "65a82a8c597150cfd6ce9a2cc6a1add843f116a5af2e409750644a050e16b3af"),
+    (["inverse-decomp", "--type", "B3", "--I", "1", "--J", "2"],
+     "d5c22acd301419622a38e86dbbb20b45ec7b65ecb7159ccc7397ad75be60fa0f"),
+    (["cartan", "--type", "A4", "--J", "1"],
+     "02b75127637ecba4ef8e12a57caa5874d13ce64a58a43d5f11175f84dfc85ac5"),
+])
+def test_block_command_bytes_are_stable(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("KLBLOCKS_CACHE_DIR", raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
