@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
@@ -104,8 +104,7 @@ def make_block(group: WeylGroup, lam: Sequence[int], mu: Sequence[int]) -> Block
             "index set; matrices will be 0x0",
             stacklevel=2,
         )
-    w_i = group.parabolic_longest(I) if I else group.identity
-    return BlockDesc(group, lam, mu, I, J, w_i, index)
+    return BlockDesc(group, lam, mu, I, J, group.parabolic_longest(I), index)
 
 
 def standard_weight(rank: int, subset: Iterable[int]) -> tuple[int, ...]:
@@ -150,23 +149,22 @@ class GradedMatrix:
         )
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
+        """Matrix product; zero entries of either factor are never multiplied."""
         if self.cols != other.rows:
             raise ValueError("axis mismatch in matrix product")
-        n = len(other.rows)
-        return GradedMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(
-                    sum(
-                        (self.entries[r][k] * other.entries[k][c] for k in range(n)),
-                        LaurentPoly.zero(),
-                    )
-                    for c in range(len(other.cols))
-                )
-                for r in range(len(self.rows))
-            ),
-        )
+        other_terms = [
+            [(c, b) for c, b in enumerate(row) if not b.is_zero()]
+            for row in other.entries
+        ]
+        out = []
+        for row in self.entries:
+            acc = [LaurentPoly.zero()] * len(other.cols)
+            for a, terms in zip(row, other_terms):
+                if not a.is_zero():
+                    for c, b in terms:
+                        acc[c] = acc[c] + a * b
+            out.append(tuple(acc))
+        return GradedMatrix(self.rows, other.cols, tuple(out))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -182,8 +180,27 @@ class GradedMatrix:
         return tuple(tuple(e.eval_at_one() for e in row) for row in self.entries)
 
 
-def _kl_at_v_minus2(hecke: HeckeAlgebra, y: WeylElem, w: WeylElem) -> LaurentPoly:
-    return hecke.kl_polynomial(y, w).substitute_power(-2)
+def _column_sums(
+    hecke: HeckeAlgebra,
+    targets: Sequence[WeylElem],
+    sources: Iterable[tuple[WeylElem, int, int]],
+) -> Iterator[list[LaurentPoly]]:
+    """Yield, for each target t, slots r holding the sums of (-1)^l P_{u,t}(v^-2)
+    over the sources (u, r, l), read off the stored entries of t's KL column."""
+    slots: dict[WeylElem, tuple[int, int]] = {}
+    for u, r, parity in sources:
+        if u in slots:
+            raise ArithmeticError(f"{u!r} has two coset factorizations")
+        slots[u] = (r, parity % 2)
+    for t in targets:
+        sums = [LaurentPoly.zero()] * len(targets)
+        for u, p in hecke.kl_column(t).items():
+            slot = slots.get(u)
+            if slot is not None:
+                r, odd = slot
+                p = p.substitute_power(-2)
+                sums[r] = sums[r] + (-p if odd else p)
+        yield sums
 
 
 def decomposition_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
@@ -192,26 +209,19 @@ def decomposition_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
     d_{x,y} = sum over z in W_I of (-1)^{l(z)} v^{l(x)-l(y)}
     P_{z w_I x w0, w_I y w0}(v^-2).
     """
-    group = block.group
-    w0 = group.w0
-    z_elems = group.parabolic_elements(block.I) if block.I else (group.identity,)
-    rows = []
-    for x in block.index_set:
-        base_x = block.w_I * x * w0
-        row = []
-        for y in block.index_set:
-            target = block.w_I * y * w0
-            total = LaurentPoly.zero()
-            for z in z_elems:
-                p = _kl_at_v_minus2(hecke, z * base_x, target)
-                if p.is_zero():
-                    continue
-                if z.length % 2:
-                    p = -p
-                total = total + p
-            row.append(total.shift(x.length - y.length))
-        rows.append(tuple(row))
-    return GradedMatrix(block.index_set, block.index_set, tuple(rows))
+    w0 = block.group.w0
+    index = block.index_set
+    sums = _column_sums(
+        hecke,
+        [block.w_I * y * w0 for y in index],
+        ((z * block.w_I * x * w0, r, z.length)
+         for z in block.group.parabolic_elements(block.I) for r, x in enumerate(index)),
+    )
+    cols = [
+        [p.shift(x.length - y.length) for p, x in zip(col, index)]
+        for col, y in zip(sums, index)
+    ]
+    return GradedMatrix(index, index, tuple(zip(*cols)))
 
 
 def inverse_decomposition_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
@@ -220,25 +230,19 @@ def inverse_decomposition_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> Grade
     e_{y,x} = sum over z in W_J of (-1)^{l(y)+l(z)-l(x)} v^{l(y)-l(x)}
     P_{w_I x z, w_I y}(v^-2).
     """
-    group = block.group
-    z_elems = group.parabolic_elements(block.J) if block.J else (group.identity,)
-    rows = []
-    for y in block.index_set:
-        target = block.w_I * y
-        row = []
-        for x in block.index_set:
-            base_x = block.w_I * x
-            total = LaurentPoly.zero()
-            for z in z_elems:
-                p = _kl_at_v_minus2(hecke, base_x * z, target)
-                if p.is_zero():
-                    continue
-                if (y.length + z.length - x.length) % 2:
-                    p = -p
-                total = total + p
-            row.append(total.shift(y.length - x.length))
-        rows.append(tuple(row))
-    return GradedMatrix(block.index_set, block.index_set, tuple(rows))
+    index = block.index_set
+    sums = _column_sums(
+        hecke,
+        [block.w_I * y for y in index],
+        ((block.w_I * x * z, r, z.length)
+         for z in block.group.parabolic_elements(block.J) for r, x in enumerate(index)),
+    )
+    rows = tuple(
+        tuple((-p if (y.length - x.length) % 2 else p).shift(y.length - x.length)
+              for p, x in zip(row, index))
+        for row, y in zip(sums, index)
+    )
+    return GradedMatrix(index, index, rows)
 
 
 def graded_cartan_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
@@ -253,41 +257,36 @@ def projective_verma_flag(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix
     return decomposition_matrix(block, hecke).transpose()
 
 
-def singular_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """Independent route for I = empty: single polynomial per entry."""
-    if block.I:
-        raise UnsupportedBlockError("direct route requires I = empty")
-    group = block.group
-    w0 = group.w0
-    rows = tuple(
-        tuple(
-            _kl_at_v_minus2(hecke, x * w0, y * w0).shift(x.length - y.length)
-            for y in block.index_set
-        )
-        for x in block.index_set
-    )
-    return GradedMatrix(block.index_set, block.index_set, rows)
-
-
-def parabolic_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """Independent route for J = empty: alternating sum over W_I."""
-    if block.J:
-        raise UnsupportedBlockError("parabolic route requires J = empty")
-    group = block.group
-    w0 = group.w0
-    z_elems = group.parabolic_elements(block.I) if block.I else (group.identity,)
+def _decomposition_by_lookup(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
+    """d evaluated one KL lookup per term: the reference for the column read."""
+    w0 = block.group.w0
+    z_elems = block.group.parabolic_elements(block.I)
     rows = []
     for x in block.index_set:
         row = []
         for y in block.index_set:
             total = LaurentPoly.zero()
             for z in z_elems:
-                p = _kl_at_v_minus2(hecke, z * block.w_I * x * w0, block.w_I * y * w0)
-                if not p.is_zero():
-                    total = total + (-p if z.length % 2 else p)
+                p = hecke.kl_polynomial(z * block.w_I * x * w0, block.w_I * y * w0)
+                p = p.substitute_power(-2)
+                total = total + (-p if z.length % 2 else p)
             row.append(total.shift(x.length - y.length))
         rows.append(tuple(row))
     return GradedMatrix(block.index_set, block.index_set, tuple(rows))
+
+
+def singular_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
+    """Independent route for I = empty: single polynomial per entry."""
+    if block.I:
+        raise UnsupportedBlockError("direct route requires I = empty")
+    return _decomposition_by_lookup(block, hecke)
+
+
+def parabolic_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
+    """Independent route for J = empty: alternating sum over W_I."""
+    if block.J:
+        raise UnsupportedBlockError("parabolic route requires J = empty")
+    return _decomposition_by_lookup(block, hecke)
 
 
 @dataclass
@@ -308,11 +307,9 @@ def graded_length_report(block: BlockDesc, hecke: HeckeAlgebra) -> list[GradedLe
     """Top grading degrees of Verma rows and Cartan columns (I = empty)."""
     if block.I:
         raise UnsupportedBlockError("graded length report requires I = empty")
-    group = block.group
-    w_singular = group.parabolic_longest(block.J) if block.J else group.identity
-    proj_top = 2 * (group.w0.length - w_singular.length)
+    proj_top = 2 * vp_center(block)
     d = decomposition_matrix(block, hecke)
-    cartan = d.transpose() @ d
+    cartan = graded_cartan_matrix(block, hecke)
     out = []
     for r, x in enumerate(block.index_set):
         verma_deg = max(
@@ -343,8 +340,7 @@ def ungraded_specialization(
 def vp_center(block: BlockDesc) -> int:
     """Palindromic center of big-projective graded dimensions."""
     group = block.group
-    w_singular = group.parabolic_longest(block.J) if block.J else group.identity
-    return group.w0.length - w_singular.length
+    return group.w0.length - group.parabolic_longest(block.J).length
 
 
 def vp_graded_dimension(
@@ -473,7 +469,7 @@ def translate_out_of_wall(
     """
     _check_translation_pair(reg, sing)
     group = reg.group
-    w_elems = group.parabolic_elements(sing.J) if sing.J else (group.identity,)
+    w_elems = group.parabolic_elements(sing.J)
     top = w_elems[-1].length
     out: K0Vector = {}
     for d, p in vec.items():

@@ -144,7 +144,7 @@ def double_quotient_weight_oracle(
     I = frozenset(I)
     J = frozenset(J)
     shifted = tuple(c + 1 for c in standard_weight(group.rank, J))
-    w_i = group.parabolic_longest(I) if I else group.identity
+    w_i = group.parabolic_longest(I)
     left = set(group.min_coset_reps_right(I))
     out = []
     for w in group.min_coset_reps(J):
@@ -853,7 +853,7 @@ class _Suite:
         h = self.hecke
         for J in self.subsets:
             sing = standard_block(group, (), J)
-            target = h.kl_element(group.parabolic_longest(J) if J else group.identity)
+            target = h.kl_element(group.parabolic_longest(J))
             for x in group.min_coset_reps(J):
                 comp = translation_composite(self.regular, sing, x)
                 want = dict((h.t(x) * target).items())

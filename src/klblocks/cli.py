@@ -416,8 +416,7 @@ def _cmd_translate(args) -> int:
             f"{word_label(x)} is not a minimal representative for J={sorted(args.J)}"
         )
     composite = translation_composite(regular, wall, x)
-    w_j = group.parabolic_longest(args.J) if args.J else group.identity
-    target = hecke.t(x) * hecke.kl_element(w_j)
+    target = hecke.t(x) * hecke.kl_element(group.parabolic_longest(args.J))
     agrees = dict(target.items()) == composite
     flush()
     ordered = sorted(composite.items(), key=lambda kv: kv[0].index)

@@ -254,14 +254,19 @@ class HeckeAlgebra:
             )
         return HeckeElem(self, coeffs)
 
-    def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
-        """P_{y,w} as a polynomial in q; zero when y is not below w."""
+    def _complete_column(self, w: WeylElem) -> None:
         if not self.kl_table.column_complete(w):
             self.kl_element(w)
-        p = self.kl_table.get(y, w)
-        if p is not None:
-            return p
-        return LaurentPoly.zero()
+
+    def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
+        """P_{y,w} as a polynomial in q; zero when y is not below w."""
+        self._complete_column(w)
+        return self.kl_table.get(y, w) or LaurentPoly.zero()
+
+    def kl_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
+        """Read-only {y: P_{y,w}} over the y <= w: exactly the nonzero P_{y,w}."""
+        self._complete_column(w)
+        return self.kl_table.column(w)
 
     def mu(self, y: WeylElem, w: WeylElem) -> int:
         """Top-degree coefficient of P_{y,w}; needs y < w strictly."""

@@ -325,8 +325,7 @@ class CoinvariantAlgebra:
         J = frozenset(subset)
         group = self.group
         reps = group.min_coset_reps(J)
-        w_j = group.parabolic_longest(J) if J else group.identity
-        d_j = group.w0 * w_j.inverse()
+        d_j = group.w0 * group.parabolic_longest(J).inverse()
         target = d_j.length
         rows = []
         for x in reps:

@@ -29,7 +29,9 @@ from klblocks import (
     vp_graded_dimension,
     weyl_group,
 )
+from klblocks.blocks import _column_sums
 from klblocks.cli import main
+from klblocks.hecke import HeckeAlgebra
 from klblocks.serialize import matrix_to_json
 
 V = LaurentPoly.gen()
@@ -302,3 +304,58 @@ def test_block_command_bytes_are_stable(capsys, monkeypatch, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def dense_product(a, b):
+    """Every triple product of a @ b, zeros included: the reference for @."""
+    n = len(b.rows)
+    return tuple(
+        tuple(sum((a.entries[r][k] * b.entries[k][c] for k in range(n)), ZERO)
+              for c in range(len(b.cols)))
+        for r in range(len(a.rows))
+    )
+
+
+def test_block_matrices_read_no_single_kl_polynomial(b3, monkeypatch):
+    hecke = HeckeAlgebra(b3)
+
+    def refuse(*args):
+        raise AssertionError("a block matrix looked up a single KL polynomial")
+
+    monkeypatch.setattr(HeckeAlgebra, "kl_polynomial", refuse)
+    blocks = [standard_block(b3, (), J) for J in all_subsets(3)]
+    blocks.append(standard_block(b3, {1}, {3}))
+    built = [(decomposition_matrix(b, hecke), inverse_decomposition_matrix(b, hecke))
+             for b in blocks]
+    monkeypatch.undo()
+    for block, (d, e) in zip(blocks, built):
+        assert (d @ e).is_identity()
+        if not block.I:
+            assert d == singular_case_decomposition(block, hecke)
+
+
+def test_product_matches_dense_and_skips_zeros(b3, hecke_b3, monkeypatch):
+    cases = []
+    for I, J in (((), ()), ((), {1, 3}), ({2}, ())):
+        block = standard_block(b3, I, J)
+        d = decomposition_matrix(block, hecke_b3)
+        e = inverse_decomposition_matrix(block, hecke_b3)
+        cases += [(d.transpose(), d), (d, e)]
+    expected = [dense_product(a, b) for a, b in cases]
+    real_mul = LaurentPoly.__mul__
+
+    def mul(a, b):
+        assert not (a.is_zero() or b.is_zero()), "multiplied by a zero entry"
+        return real_mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    for (a, b), want in zip(cases, expected):
+        product = a @ b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.entries == want
+
+
+def test_column_sums_reject_a_doubly_entered_source(b3, hecke_b3):
+    s = b3.simple(1)
+    with pytest.raises(ArithmeticError, match="two coset factorizations"):
+        list(_column_sums(hecke_b3, [s], [(s, 0, 0), (s, 0, 1)]))

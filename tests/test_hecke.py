@@ -140,3 +140,19 @@ def test_store_column_rejects_bad_columns(a2):
     # v^0 on T_e would make P_{e,s} = q^(1/2): an odd power of v
     with pytest.raises(ArithmeticError, match="odd exponent"):
         hecke._store_column(w, hecke.element({w: ONE, a2.identity: ONE}))
+
+
+def test_kl_column_completes_a_read_only_column(b3):
+    hecke = HeckeAlgebra(b3)
+    w = b3.word_elem((1, 2, 3, 2))
+    assert not hecke.kl_table.column_complete(w)
+    col = hecke.kl_column(w)
+    assert hecke.kl_table.column_complete(w)
+    assert col[w] == ONE
+    with pytest.raises(TypeError):
+        col[b3.identity] = ONE
+    # every nonzero P_{y,w} is in the column, and nothing else
+    for y in b3.elements:
+        p = hecke.kl_polynomial(y, w)
+        assert col.get(y, LaurentPoly.zero()) == p
+        assert (y in col) == (not p.is_zero()) == b3.bruhat_leq(y, w)
