@@ -8,7 +8,8 @@ against an identity that the implementation does not use internally.
 
 Quadratic loops are exhaustive for the group orders where that is cheap
 and fall back to seeded random samples beyond; the ``detail`` string
-records which.
+records which.  Two checks with no sampled form are reported as skipped
+(``CheckResult.skipped``) above their size cap; a skip is not a pass.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ _DUALITY_SEED = 7
 
 @dataclass
 class CheckResult:
+    """Outcome of one check; ``passed`` is false only for a violation."""
+
     name: str
     passed: bool
     detail: str = ""
+    skipped: bool = False
 
     def line(self) -> str:
-        flag = "ok" if self.passed else "FAIL"
+        flag = "skip" if self.skipped else "ok" if self.passed else "FAIL"
         tail = f"  ({self.detail})" if self.detail else ""
         return f"{flag:4s} {self.name}{tail}"
 
@@ -332,7 +336,8 @@ class _Suite:
     def check_bruhat_closure(self) -> CheckResult:
         group = self.group
         if len(group.elements) > 400:
-            return CheckResult("bruhat order closure oracle", True, "skipped: large group")
+            return CheckResult("bruhat order closure oracle", True,
+                               f"large group: |W| = {len(group.elements)} > 400", skipped=True)
         closed = bruhat_closure_leq(group)
         for x in group.elements:
             for y in group.elements:
@@ -507,7 +512,9 @@ class _Suite:
     def check_descent_rule(self) -> CheckResult:
         group = self.group
         if len(group.elements) > _PAIR_CAP:
-            return CheckResult("descent rule independence", True, "skipped: large group")
+            return CheckResult("descent rule independence", True,
+                               f"large group: |W| = {len(group.elements)} > {_PAIR_CAP}",
+                               skipped=True)
         other = HeckeAlgebra(group, descent_rule="max")
         for w in group.elements:
             if other.kl_element(w) != self.hecke.kl_element(w):

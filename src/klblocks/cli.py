@@ -7,19 +7,18 @@ the cross-validation suite.  Output is a text table by default and JSON
 or CSV on request; the same invocation always produces the same bytes.
 
 Exit codes: 0 on success, 1 on usage or domain errors, 2 when check-all
-finds a violated invariant.  Set KLBLOCKS_CACHE_DIR to persist computed
-KL tables between runs.
+finds a violated invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
-from . import klcache, serialize
+# unused here, but perfbench's tracer self-test looks up cli.klcache.load_kl_table
+from . import klcache, serialize  # noqa: F401
 from .blocks import (
     bott_samelson_decomposition,
     decomposition_matrix,
@@ -37,8 +36,6 @@ from .serialize import matrix_to_csv, matrix_to_json, matrix_to_table, word_labe
 from .weyl import WeylGroup, weyl_group_of_kind
 
 __all__ = ["main"]
-
-_CACHE_ENV = "KLBLOCKS_CACHE_DIR"
 
 
 class _UsageError(Exception):
@@ -93,36 +90,6 @@ def _group(args) -> WeylGroup:
             if not 1 <= i <= group.rank:
                 raise _UsageError(f"--{name} index {i} out of range for {group.kind}")
     return group
-
-
-def _hecke_with_cache(group: WeylGroup):
-    """Hecke algebra plus a flush callback wired to the cache directory."""
-    hecke = HeckeAlgebra(group)
-    directory = os.environ.get(_CACHE_ENV)
-    if not directory:
-        return hecke, lambda: None
-    os.makedirs(directory, exist_ok=True)
-    path = klcache.cache_path(directory, group.kind)
-    loaded = 0
-    if os.path.exists(path):
-        try:
-            klcache.load_kl_table(path, hecke)
-        except ValueError as exc:
-            print(f"klblocks: warning: ignoring KL cache: {exc}", file=sys.stderr)
-            # drop what was merged before the bad record; -1 makes flush
-            # replace the bad file even if nothing new is computed
-            hecke = HeckeAlgebra(group)
-            loaded = -1
-        else:
-            loaded = len(hecke.kl_table)
-
-    def flush():
-        # entries are only ever added, so an unchanged count means the
-        # file already holds everything
-        if len(hecke.kl_table) > loaded:
-            klcache.save_kl_table(hecke.kl_table, path)
-
-    return hecke, flush
 
 
 def _print_matrix(matrix, args) -> None:
@@ -242,11 +209,10 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_kl(args) -> int:
     group = _group(args)
-    hecke, flush = _hecke_with_cache(group)
+    hecke = HeckeAlgebra(group)
     y = _element(group, args.y)
     w = _element(group, args.w)
     poly = hecke.kl_polynomial(y, w)
-    flush()
     if args.format == "json":
         payload = {
             "kind": group.kind,
@@ -318,22 +284,20 @@ def _cmd_gram(args) -> int:
 
 def _matrix_command(args, builder) -> int:
     group = _group(args)
-    hecke, flush = _hecke_with_cache(group)
+    hecke = HeckeAlgebra(group)
     block = _block(args, group)
     matrix = builder(block, hecke)
-    flush()
     _print_matrix(matrix, args)
     return 0
 
 
 def _cmd_vp_dims(args) -> int:
     group = _group(args)
-    hecke, flush = _hecke_with_cache(group)
+    hecke = HeckeAlgebra(group)
     if args.I:
         raise _UsageError("graded dimensions require I empty")
     block = _block(args, group)
     d = decomposition_matrix(block, hecke)
-    flush()
     center = vp_center(block)
     rows = []
     for x in block.index_set:
@@ -363,10 +327,9 @@ def _cmd_vp_dims(args) -> int:
 
 def _cmd_bott_samelson(args) -> int:
     group = _group(args)
-    hecke, flush = _hecke_with_cache(group)
+    hecke = HeckeAlgebra(group)
     block = make_block(group, (-2,) * group.rank, (-2,) * group.rank)
     report = bott_samelson_decomposition(block, hecke, _parse_word(args.word))
-    flush()
     if args.format == "json":
         payload = {
             "kind": group.kind,
@@ -407,7 +370,7 @@ def _cmd_bott_samelson(args) -> int:
 
 def _cmd_translate(args) -> int:
     group = _group(args)
-    hecke, flush = _hecke_with_cache(group)
+    hecke = HeckeAlgebra(group)
     regular = make_block(group, (-2,) * group.rank, (-2,) * group.rank)
     wall = standard_block(group, (), sorted(args.J))
     x = _element(group, args.x)
@@ -418,7 +381,6 @@ def _cmd_translate(args) -> int:
     composite = translation_composite(regular, wall, x)
     target = hecke.t(x) * hecke.kl_element(group.parabolic_longest(args.J))
     agrees = dict(target.items()) == composite
-    flush()
     ordered = sorted(composite.items(), key=lambda kv: kv[0].index)
     if args.format == "json":
         payload = {
@@ -448,9 +410,12 @@ def _cmd_check_all(args) -> int:
     from .checks import run_all_checks
 
     results = run_all_checks(args.type, progress=lambda r: print(r.line()))
-    failed = [r for r in results if not r.passed]
+    ran = [r for r in results if not r.skipped]
+    failed = [r for r in ran if not r.passed]
+    skipped = len(results) - len(ran)
     print()
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    print(f"{len(ran) - len(failed)}/{len(ran)} checks passed"
+          + (f", {skipped} skipped" if skipped else ""))
     return 2 if failed else 0
 
 

@@ -6,6 +6,12 @@ produces byte-identical files.  A record for the pair ``(w, w)`` marks
 the column of ``w`` as fully computed, which lets a reloaded table be
 used without re-running the recursion for that column.
 
+Loading is all or nothing: every record of the requested type is decoded
+and validated before any is stored, so a file that fails leaves the
+caller's table as it was.  A record is rejected with ``ValueError`` unless
+both words are reduced, ``P_{w,w} = 1``, and for ``y != w`` both
+``l(y) < l(w)`` and ``2 deg P <= l(w) - l(y) - 1`` hold.
+
 Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
     u8   length of the type string, then that many UTF-8 bytes
@@ -108,11 +114,25 @@ class _Reader:
         return self.pos >= len(self.data)
 
 
+def _record_problem(y, w, ylen: int, wlen: int, coeffs, terms) -> str:
+    """Why a decoded record cannot be an entry P_{y,w}; empty if it can."""
+    if y.length != ylen or w.length != wlen:
+        return "word is not reduced"
+    if y is w:
+        return "" if coeffs == (1,) else "P_{w,w} is not 1"
+    if y.length >= w.length:
+        return "l(y) >= l(w)"
+    if 2 * max(terms, default=0) > w.length - y.length - 1:
+        return "degree of P_{y,w} too high"
+    return ""
+
+
 def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
     """Merge records for the algebra's type into its table.
 
     Records for other types in the same file are skipped.  Returns the
-    number of records loaded.
+    number of records loaded; raises ``ValueError``, with nothing merged,
+    if the file is malformed or any record fails validation.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -122,19 +142,24 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
     reader.take_bytes(4)
     group = hecke.group
     kind = group.datum.kind
-    loaded = 0
+    records = []
     while not reader.done():
         (klen,) = reader.take("<B")
         record_kind = reader.take_bytes(klen).decode()
         (ylen,) = reader.take("<B")
-        yword = reader.take(f"<{ylen}B") if ylen else ()
+        yword = reader.take_bytes(ylen)  # iterates as the letters
         (wlen,) = reader.take("<B")
-        wword = reader.take(f"<{wlen}B") if wlen else ()
+        wword = reader.take_bytes(wlen)
         (ncoeff,) = reader.take("<H")
         coeffs = reader.take(f"<{ncoeff}q") if ncoeff else ()
         if record_kind != kind:
             continue
-        poly = LaurentPoly({e: c for e, c in enumerate(coeffs) if c})
-        hecke.kl_table.put(group.word_elem(yword), group.word_elem(wword), poly)
-        loaded += 1
-    return loaded
+        y, w = group.word_elem(yword), group.word_elem(wword)
+        terms = {e: c for e, c in enumerate(coeffs) if c}
+        problem = _record_problem(y, w, ylen, wlen, coeffs, terms)
+        if problem:
+            raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: {problem}")
+        records.append((y, w, LaurentPoly._normalized(terms)))
+    for y, w, poly in records:
+        hecke.kl_table.put(y, w, poly)
+    return len(records)

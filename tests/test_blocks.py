@@ -299,8 +299,7 @@ def test_block_matrix_bytes_are_stable(kind, digest):
     (["cartan", "--type", "A4", "--J", "1"],
      "02b75127637ecba4ef8e12a57caa5874d13ce64a58a43d5f11175f84dfc85ac5"),
 ])
-def test_block_command_bytes_are_stable(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("KLBLOCKS_CACHE_DIR", raising=False)
+def test_block_command_bytes_are_stable(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import pytest
+
 from klblocks import HeckeAlgebra, run_all_checks
 from klblocks.checks import (
     CheckResult,
@@ -15,6 +17,18 @@ def test_result_line_format():
     assert "something" in ok.line()
     assert bad.line().startswith("FAIL")
     assert "broke" in bad.line()
+    skip = CheckResult("third", True, "too big", skipped=True)
+    assert skip.line() == "skip third  (too big)"
+
+
+@pytest.mark.parametrize("kind, check", [
+    ("A4", "check_descent_rule"),
+    ("A5", "check_bruhat_closure"),
+])
+def test_large_group_check_is_skipped_not_passed(kind, check):
+    result = getattr(_Suite(kind), check)()
+    assert result.skipped and result.passed
+    assert result.line().startswith("skip ")
 
 
 def test_bar_solve_oracle_matches_recursion(a2):

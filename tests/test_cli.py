@@ -14,11 +14,8 @@ from klblocks import (
     matrix_from_json,
     standard_block,
 )
-from klblocks import klcache
 from klblocks.cli import main
-from klblocks.hecke import HeckeAlgebra
 from klblocks.schubert import CoinvariantAlgebra
-from klblocks.weyl import weyl_group_of_kind
 
 
 def run(argv):
@@ -191,16 +188,35 @@ def test_check_all(capsys):
     assert done == total
 
 
-def test_cache_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(tmp_path / "cache"))
-    assert run(["kl", "--type", "A2", "--y", "e", "--w", "1,2,1"]) == 0
-    assert capsys.readouterr().out == "1\n"
-    cache_file = tmp_path / "cache" / "A2.klt"
-    assert cache_file.exists()
-    stamp = cache_file.read_bytes()
-    assert run(["kl", "--type", "A2", "--y", "e", "--w", "1,2,1"]) == 0
-    assert capsys.readouterr().out == "1\n"
-    assert cache_file.read_bytes() == stamp
+@pytest.mark.parametrize("argv", [
+    ["kl", "--type", "A2", "--y", "e", "--w", "1,2,1"],
+    ["decomp", "--type", "A2"],
+    ["vp-dims", "--type", "A2", "--J", "1"],
+])
+def test_cache_dir_variable_is_ignored(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("KLBLOCKS_CACHE_DIR", raising=False)
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(cache))
+    assert run(argv) == 0
+    assert capsys.readouterr() == plain
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_check_all_counts_skips_apart(capsys, monkeypatch):
+    from klblocks import checks
+
+    results = [checks.CheckResult("one", True, "fine"),
+               checks.CheckResult("two", True, "large group", skipped=True)]
+    monkeypatch.setattr(checks, "run_all_checks",
+                        lambda kind, progress: [progress(r) or r for r in results])
+    assert run(["check-all", "--type", "A2"]) == 0
+    assert capsys.readouterr().out == (
+        "ok   one  (fine)\nskip two  (large group)\n\n1/1 checks passed, 1 skipped\n")
+    results.append(checks.CheckResult("three", False, "broke"))
+    assert run(["check-all", "--type", "A2"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "1/2 checks passed, 1 skipped"
 
 
 def test_usage_errors(capsys):
@@ -228,26 +244,6 @@ def test_argparse_errors(capsys):
     assert run(["decomp", "--type", "A2", "--J", "x"]) == 1
     assert run(["decomp"]) == 1
     assert run(["no-such-command", "--type", "A2"]) == 1
-    capsys.readouterr()
-
-
-def test_warm_cache_is_not_rewritten(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(tmp_path / "cache"))
-    saves = []
-    real_save = klcache.save_kl_table
-
-    def save(table, path):
-        saves.append(len(table))
-        return real_save(table, path)
-
-    monkeypatch.setattr(klcache, "save_kl_table", save)
-    argv = ["kl", "--type", "A2", "--y", "e", "--w", "1,2"]
-    assert run(argv) == 0
-    assert len(saves) == 1
-    assert run(argv) == 0
-    assert len(saves) == 1  # every entry came from the file
-    assert run(["decomp", "--type", "A2"]) == 0
-    assert len(saves) == 2 and saves[1] > saves[0]
     capsys.readouterr()
 
 
@@ -295,30 +291,6 @@ def test_schubert_command_loads_the_schubert_layer(child_env):
                              child_env)
     assert "klblocks.schubert" in loaded
     assert "klblocks.checks" not in loaded
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda data: data[:-1],
-    lambda data: data[: len(data) // 2],
-    lambda data: b"XXXX" + data[4:],
-], ids=["truncated-tail", "truncated-half", "bad-magic"])
-def test_corrupt_cache_is_recomputed_and_rewritten(capsys, tmp_path, monkeypatch,
-                                                   corrupt):
-    monkeypatch.setenv("KLBLOCKS_CACHE_DIR", str(tmp_path))
-    argv = ["kl", "--type", "A3", "--y", "2", "--w", "2,1,3,2"]
-    assert run(argv) == 0
-    capsys.readouterr()
-    cache_file = tmp_path / "A3.klt"
-    good = cache_file.read_bytes()
-    cache_file.write_bytes(corrupt(good))
-    assert run(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "1+q\n"
-    assert captured.err.startswith("klblocks: warning: ignoring KL cache")
-    assert cache_file.read_bytes() == good
-    assert klcache.load_kl_table(cache_file, HeckeAlgebra(weyl_group_of_kind("A3"))) > 0
-    assert run(argv) == 0
-    assert capsys.readouterr() == ("1+q\n", "")
 
 
 def test_oversized_type_fails_fast(capsys):

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,36 @@ def test_truncated_file(tmp_path, a2):
     target = HeckeAlgebra(weyl_group("A2"))
     with pytest.raises(ValueError):
         load_kl_table(path, target)
+
+
+def _record(yword, wword, coeffs, kind="A2"):
+    """One record in the file layout, built independently of the saver."""
+    def word(letters):
+        return struct.pack(f"<B{len(letters)}B", len(letters), *letters)
+
+    return (struct.pack("<B", len(kind)) + kind.encode() + word(yword) + word(wword)
+            + struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs))
+
+
+@pytest.mark.parametrize("tail, problem", [
+    (_record((1, 1), (1, 2), (1,)), "not reduced"),
+    (_record((1, 2), (1, 2), (1, 1)), "P_{w,w} is not 1"),
+    (_record((1, 2), (2, 1), (1,)), "l(y) >= l(w)"),
+    (_record((1,), (1, 2), (1, 1)), "degree"),
+    (None, "truncated"),
+], ids=["non-reduced-word", "diagonal-not-one", "length-not-below", "degree-too-high",
+        "truncated-tail"])
+def test_bad_file_merges_nothing(tmp_path, a2, tail, problem):
+    # every bad part follows a full set of valid records, none of which may
+    # reach the table
+    path = Path(cache_path(tmp_path, "A2"))
+    save_kl_table(full_table(HeckeAlgebra(a2)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-3] if tail is None else data + tail)
+    target = HeckeAlgebra(weyl_group("A2"))
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
 
 
 def test_resave_is_byte_identical(tmp_path, a2):
