@@ -6,6 +6,12 @@ against an identity that the implementation does not use internally.
 ``run_all_checks`` runs the whole catalogue for a type and returns one
 ``CheckResult`` per check; nothing raises, failures are reported.
 
+A check is a ``_Suite`` method declared with ``@_check(name)``, which
+files it in the catalogue, in definition order, under that name.  Its
+body returns the detail of a pass, raises ``_Fail(detail)`` on a
+violation and ``_Skip(reason)`` where it has no form at this size; any
+other exception is reported as a failure of the same check.
+
 Quadratic loops are exhaustive for the group orders where that is cheap
 and fall back to seeded random samples beyond; the ``detail`` string
 records which.  Two checks with no sampled form are reported as skipped
@@ -14,6 +20,7 @@ records which.  Two checks with no sampled form are reported as skipped
 
 from __future__ import annotations
 
+import functools
 import random
 import tempfile
 import warnings
@@ -24,7 +31,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import klcache, serialize
 from .blocks import (
-    BlockDesc,
     bott_samelson_decomposition,
     decomposition_matrix,
     graded_cartan_matrix,
@@ -76,6 +82,39 @@ class CheckResult:
         flag = "skip" if self.skipped else "ok" if self.passed else "FAIL"
         tail = f"  ({self.detail})" if self.detail else ""
         return f"{flag:4s} {self.name}{tail}"
+
+
+class _Fail(Exception):
+    """A check found a violation; the argument is the detail."""
+
+
+class _Skip(Exception):
+    """A check has no form at this size; the argument is the reason."""
+
+
+# (name, check) in definition order; filled by ``_check``.
+_CATALOGUE: list[tuple[str, Callable[[_Suite], CheckResult]]] = []
+
+
+def _check(name: str):
+    """Declare a ``_Suite`` method as the check ``name``."""
+    def declare(body: Callable[[_Suite], str]) -> Callable[[_Suite], CheckResult]:
+        @functools.wraps(body)
+        def run(suite: _Suite) -> CheckResult:
+            try:
+                return CheckResult(name, True, body(suite))
+            except _Fail as exc:
+                return CheckResult(name, False, str(exc))
+            except _Skip as exc:
+                return CheckResult(name, True, str(exc), skipped=True)
+            # A crash is a failed check, not a crash of the suite.
+            except Exception as exc:
+                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+        _CATALOGUE.append((name, run))
+        return run
+
+    return declare
 
 
 # -- independent oracles ---------------------------------------------
@@ -236,39 +275,41 @@ class _Suite:
 
     # -- exact scalar layers -----------------------------------------
 
-    def check_laurent_ring(self) -> CheckResult:
+    @_check("laurent ring axioms")
+    def check_laurent_ring(self) -> str:
         rng = self.rng
         for _ in range(120):
             a, b, c = (_rand_laurent(rng) for _ in range(3))
             if (a + b) * c != a * c + b * c or (a * b) * c != a * (b * c):
-                return CheckResult("laurent ring axioms", False, "distributivity")
+                raise _Fail("distributivity")
             if a * b != b * a or (a + b).bar() != a.bar() + b.bar():
-                return CheckResult("laurent ring axioms", False, "commutativity/bar")
+                raise _Fail("commutativity/bar")
             if (a * b).bar() != a.bar() * b.bar() or a.bar().bar() != a:
-                return CheckResult("laurent ring axioms", False, "bar involution")
-        return CheckResult("laurent ring axioms", True, "120 random triples")
+                raise _Fail("bar involution")
+        return "120 random triples"
 
-    def check_laurent_text(self) -> CheckResult:
+    @_check("laurent text round-trip")
+    def check_laurent_text(self) -> str:
         rng = self.rng
         for _ in range(150):
             a = _rand_laurent(rng)
             for var in ("v", "q"):
                 if LaurentPoly.parse(a.render(var), var) != a:
-                    return CheckResult(
-                        "laurent text round-trip", False, repr(a.render(var))
-                    )
-        return CheckResult("laurent text round-trip", True, "150 random polynomials")
+                    raise _Fail(repr(a.render(var)))
+        return "150 random polynomials"
 
-    def check_poly_ring(self) -> CheckResult:
+    @_check("polynomial ring axioms")
+    def check_poly_ring(self) -> str:
         rng = self.rng
         n = self.group.rank
         for _ in range(60):
             a, b, c = (_rand_poly(rng, n) for _ in range(3))
             if (a + b) * c != a * c + b * c or (a * b) * c != a * (b * c):
-                return CheckResult("polynomial ring axioms", False, "")
-        return CheckResult("polynomial ring axioms", True, "60 random triples")
+                raise _Fail("")
+        return "60 random triples"
 
-    def check_poly_division(self) -> CheckResult:
+    @_check("exact linear division")
+    def check_poly_division(self) -> str:
         rng = self.rng
         coinv = self.coinv
         nroots = len(self.group.datum.pos_roots)
@@ -278,17 +319,18 @@ class _Suite:
             if f == RatPoly.zero(self.group.rank):
                 continue
             if divide_by_linear(f * root, root) != f:
-                return CheckResult("exact linear division", False, f"trial {trial}")
+                raise _Fail(f"trial {trial}")
         probe = coinv.weight_poly(1) * coinv.weight_poly(1)
         try:
             divide_by_linear(probe + RatPoly.one(self.group.rank), coinv.alpha_poly(1))
         except NonDivisibleError:
-            return CheckResult("exact linear division", True, "40 exact + 1 rejected")
-        return CheckResult("exact linear division", False, "inexact division accepted")
+            return "40 exact + 1 rejected"
+        raise _Fail("inexact division accepted")
 
     # -- roots and Weyl combinatorics --------------------------------
 
-    def check_root_permutation(self) -> CheckResult:
+    @_check("simple reflection permutes other positives")
+    def check_root_permutation(self) -> str:
         datum = self.group.datum
         omega_roots = [tuple(r) for r in datum.pos_roots_omega]
         positives = set(omega_roots)
@@ -296,75 +338,68 @@ class _Suite:
             s = self.group.simple(i)
             alpha = omega_roots[datum.simple_root_index(i)]
             if s.act(alpha) != tuple(-c for c in alpha):
-                return CheckResult(
-                    "simple reflection permutes other positives", False, f"s_{i} alpha"
-                )
+                raise _Fail(f"s_{i} alpha")
             images = {s.act(beta) for beta in omega_roots if beta != alpha}
             if images != positives - {alpha}:
-                return CheckResult(
-                    "simple reflection permutes other positives", False, f"s_{i}"
-                )
-        return CheckResult(
-            "simple reflection permutes other positives", True,
-            f"{len(omega_roots)} roots",
-        )
+                raise _Fail(f"s_{i}")
+        return f"{len(omega_roots)} roots"
 
-    def check_length_identities(self) -> CheckResult:
+    @_check("length identities")
+    def check_length_identities(self) -> str:
         group = self.group
         w0 = group.w0
         for w in group.elements:
             if w.inverse().length != w.length:
-                return CheckResult("length identities", False, f"inverse at {w!r}")
+                raise _Fail(f"inverse at {w!r}")
             if (w0 * w).length != w0.length - w.length:
-                return CheckResult("length identities", False, f"w0 shift at {w!r}")
+                raise _Fail(f"w0 shift at {w!r}")
             if len(w.word) != w.length:
-                return CheckResult("length identities", False, f"word at {w!r}")
-        return CheckResult("length identities", True, f"all {len(group.elements)}")
+                raise _Fail(f"word at {w!r}")
+        return f"all {len(group.elements)}"
 
-    def check_descents(self) -> CheckResult:
+    @_check("descent consistency")
+    def check_descents(self) -> str:
         group = self.group
         for w in group.elements:
             for i in range(1, group.rank + 1):
                 right = (w * group.simple(i)).length < w.length
                 left = (group.simple(i) * w).length < w.length
                 if right != (i in group.right_descents(w)):
-                    return CheckResult("descent consistency", False, f"right {w!r}")
+                    raise _Fail(f"right {w!r}")
                 if left != (i in group.left_descents(w)):
-                    return CheckResult("descent consistency", False, f"left {w!r}")
-        return CheckResult("descent consistency", True, "")
+                    raise _Fail(f"left {w!r}")
+        return ""
 
-    def check_bruhat_closure(self) -> CheckResult:
+    @_check("bruhat order closure oracle")
+    def check_bruhat_closure(self) -> str:
         group = self.group
         if len(group.elements) > 400:
-            return CheckResult("bruhat order closure oracle", True,
-                               f"large group: |W| = {len(group.elements)} > 400", skipped=True)
+            raise _Skip(f"large group: |W| = {len(group.elements)} > 400")
         closed = bruhat_closure_leq(group)
         for x in group.elements:
             for y in group.elements:
                 if group.bruhat_leq(x, y) != ((x.index, y.index) in closed):
-                    return CheckResult(
-                        "bruhat order closure oracle", False, f"{x!r} vs {y!r}"
-                    )
-        return CheckResult(
-            "bruhat order closure oracle", True, f"{len(group.elements)}^2 pairs"
-        )
+                    raise _Fail(f"{x!r} vs {y!r}")
+        return f"{len(group.elements)}^2 pairs"
 
-    def check_coset_factorization(self) -> CheckResult:
+    @_check("coset factorization")
+    def check_coset_factorization(self) -> str:
         group = self.group
         for J in self.subsets:
             reps = group.min_coset_reps(J)
             inside = group.parabolic_elements(J)
             if len(reps) * len(inside) != len(group.elements):
-                return CheckResult("coset factorization", False, f"count at {sorted(J)}")
+                raise _Fail(f"count at {sorted(J)}")
             for w in group.elements:
                 d, u = group.coset_factorize(w, J)
                 if d * u != w or d.length + u.length != w.length:
-                    return CheckResult("coset factorization", False, f"{w!r}")
+                    raise _Fail(f"{w!r}")
                 if d not in reps or u not in inside:
-                    return CheckResult("coset factorization", False, f"{w!r}")
-        return CheckResult("coset factorization", True, f"{len(self.subsets)} subsets")
+                    raise _Fail(f"{w!r}")
+        return f"{len(self.subsets)} subsets"
 
-    def check_double_quotient(self) -> CheckResult:
+    @_check("double quotient weight oracle")
+    def check_double_quotient(self) -> str:
         group = self.group
         count = 0
         for I in self.subsets:
@@ -372,25 +407,23 @@ class _Suite:
                 defn = group.double_quotient(I, J)
                 oracle = double_quotient_weight_oracle(group, I, J)
                 if list(defn) != list(oracle):
-                    return CheckResult(
-                        "double quotient weight oracle",
-                        False,
-                        f"I={sorted(I)} J={sorted(J)}",
-                    )
+                    raise _Fail(f"I={sorted(I)} J={sorted(J)}")
                 count += 1
-        return CheckResult("double quotient weight oracle", True, f"{count} pairs")
+        return f"{count} pairs"
 
-    def check_dot_action(self) -> CheckResult:
+    @_check("dot action composition")
+    def check_dot_action(self) -> str:
         group = self.group
         rng = self.rng
         pairs, scope = _pairs(group.elements, rng, _PAIR_CAP)
         for w, u in pairs:
             lam = tuple(rng.randint(-4, 3) for _ in range(group.rank))
             if w.dot(u.dot(lam)) != (w * u).dot(lam):
-                return CheckResult("dot action composition", False, f"{w!r},{u!r}")
-        return CheckResult("dot action composition", True, scope)
+                raise _Fail(f"{w!r},{u!r}")
+        return scope
 
-    def check_antidominant_rep(self) -> CheckResult:
+    @_check("antidominant orbit representative")
+    def check_antidominant_rep(self) -> str:
         group = self.group
         rng = self.rng
         for _ in range(15):
@@ -401,28 +434,28 @@ class _Suite:
                 if group.is_antidominant(w.dot(lam))
             }
             if orbit_min != {mu}:
-                return CheckResult("antidominant orbit representative", False, f"{lam}")
+                raise _Fail(f"{lam}")
             stab = group.dot_stabilizer(mu)
             para = group.parabolic_elements(group.singularity_subset(mu))
             if set(stab) != set(para):
-                return CheckResult(
-                    "antidominant orbit representative", False, f"stabilizer {mu}"
-                )
-        return CheckResult("antidominant orbit representative", True, "15 random weights")
+                raise _Fail(f"stabilizer {mu}")
+        return "15 random weights"
 
     # -- Hecke algebra ------------------------------------------------
 
-    def check_quadratic_relation(self) -> CheckResult:
+    @_check("quadratic hecke relation")
+    def check_quadratic_relation(self) -> str:
         h = self.hecke
         v = LaurentPoly.gen(1)
         vinv = LaurentPoly.gen(-1)
         for i in range(1, self.group.rank + 1):
             ts = h.t(self.group.simple(i))
             if ts * ts != ts.scale(v - vinv) + h.one:
-                return CheckResult("quadratic hecke relation", False, f"s_{i}")
-        return CheckResult("quadratic hecke relation", True, "")
+                raise _Fail(f"s_{i}")
+        return ""
 
-    def check_length_additive_products(self) -> CheckResult:
+    @_check("length-additive products")
+    def check_length_additive_products(self) -> str:
         group = self.group
         h = self.hecke
         rng = self.rng
@@ -439,10 +472,11 @@ class _Suite:
             x = group.word_elem(w.word[:k])
             y = group.word_elem(w.word[k:])
             if h.t(x) * h.t(y) != h.t(w):
-                return CheckResult("length-additive products", False, f"{w!r} at {k}")
-        return CheckResult("length-additive products", True, scope)
+                raise _Fail(f"{w!r} at {k}")
+        return scope
 
-    def check_bar_involution(self) -> CheckResult:
+    @_check("bar involution")
+    def check_bar_involution(self) -> str:
         group = self.group
         h = self.hecke
         rng = self.rng
@@ -454,36 +488,38 @@ class _Suite:
                 rng.choice(group.elements): _rand_laurent(rng) for _ in range(2)
             })
             if h.bar(h.bar(a)) != a:
-                return CheckResult("bar involution", False, "not involutive")
+                raise _Fail("not involutive")
             if h.bar(a * b) != h.bar(a) * h.bar(b):
-                return CheckResult("bar involution", False, "not multiplicative")
-        return CheckResult("bar involution", True, "25 random pairs")
+                raise _Fail("not multiplicative")
+        return "25 random pairs"
 
-    def check_kl_axioms(self) -> CheckResult:
+    @_check("kl basis axioms")
+    def check_kl_axioms(self) -> str:
         group = self.group
         h = self.hecke
         for w in group.elements:
             c = h.kl_element(w)
             if h.bar(c) != c:
-                return CheckResult("kl basis axioms", False, f"bar at {w!r}")
+                raise _Fail(f"bar at {w!r}")
             for y, coeff in c.items():
                 if y is w:
                     if coeff != LaurentPoly.one():
-                        return CheckResult("kl basis axioms", False, f"lead at {w!r}")
+                        raise _Fail(f"lead at {w!r}")
                     continue
                 if not group.bruhat_leq(y, w):
-                    return CheckResult("kl basis axioms", False, f"support {y!r},{w!r}")
+                    raise _Fail(f"support {y!r},{w!r}")
                 if any(e >= 0 for e, _ in coeff.items()):
-                    return CheckResult("kl basis axioms", False, f"degree {y!r},{w!r}")
+                    raise _Fail(f"degree {y!r},{w!r}")
                 p = h.kl_polynomial(y, w)
                 if not p.has_nonnegative_coeffs() or p.coefficient(0) != 1:
-                    return CheckResult("kl basis axioms", False, f"P at {y!r},{w!r}")
+                    raise _Fail(f"P at {y!r},{w!r}")
                 bound = (w.length - y.length - 1) // 2
                 if p.max_exp() > bound:
-                    return CheckResult("kl basis axioms", False, f"bound {y!r},{w!r}")
-        return CheckResult("kl basis axioms", True, f"all {len(group.elements)} columns")
+                    raise _Fail(f"bound {y!r},{w!r}")
+        return f"all {len(group.elements)} columns"
 
-    def check_kl_oracle(self) -> CheckResult:
+    @_check("kl bar-solve oracle")
+    def check_kl_oracle(self) -> str:
         group = self.group
         h = self.hecke
         if len(group.elements) <= _PRODUCT_CAP:
@@ -494,10 +530,11 @@ class _Suite:
             scope = f"{len(todo)} elements of length <= 4"
         for w in todo:
             if h.kl_element(w) != kl_bar_solve(h, w):
-                return CheckResult("kl bar-solve oracle", False, f"{w!r}")
-        return CheckResult("kl bar-solve oracle", True, scope)
+                raise _Fail(f"{w!r}")
+        return scope
 
-    def check_kl_products(self) -> CheckResult:
+    @_check("kl product positivity")
+    def check_kl_products(self) -> str:
         group = self.group
         h = self.hecke
         rng = self.rng
@@ -506,30 +543,30 @@ class _Suite:
             expansion = h.expand_in_kl_basis(h.kl_element(x) * h.kl_element(y))
             for w, coeff in expansion.items():
                 if not coeff.has_nonnegative_coeffs() or coeff.bar() != coeff:
-                    return CheckResult("kl product positivity", False, f"{x!r} {y!r}")
-        return CheckResult("kl product positivity", True, scope)
+                    raise _Fail(f"{x!r} {y!r}")
+        return scope
 
-    def check_descent_rule(self) -> CheckResult:
+    @_check("descent rule independence")
+    def check_descent_rule(self) -> str:
         group = self.group
         if len(group.elements) > _PAIR_CAP:
-            return CheckResult("descent rule independence", True,
-                               f"large group: |W| = {len(group.elements)} > {_PAIR_CAP}",
-                               skipped=True)
+            raise _Skip(f"large group: |W| = {len(group.elements)} > {_PAIR_CAP}")
         other = HeckeAlgebra(group, descent_rule="max")
         for w in group.elements:
             if other.kl_element(w) != self.hecke.kl_element(w):
-                return CheckResult("descent rule independence", False, f"{w!r}")
-        return CheckResult("descent rule independence", True, "min vs max, all columns")
+                raise _Fail(f"{w!r}")
+        return "min vs max, all columns"
 
     # -- coinvariant algebra -----------------------------------------
 
-    def check_projection_roundtrip(self) -> CheckResult:
+    @_check("schubert projection round-trip")
+    def check_projection_roundtrip(self) -> str:
         coinv = self.coinv
         for w in self.group.elements:
             cls = coinv.schubert_class(w)
             if coinv.poly_to_schubert(coinv.schubert_rep(w)) != cls:
-                return CheckResult("schubert projection round-trip", False, f"{w!r}")
-        return CheckResult("schubert projection round-trip", True, "all classes")
+                raise _Fail(f"{w!r}")
+        return "all classes"
 
     def _invariant_positive_part(self) -> RatPoly:
         rng = self.rng
@@ -543,17 +580,19 @@ class _Suite:
             if total != RatPoly.zero(group.rank):
                 return total
 
-    def check_invariant_vanishing(self) -> CheckResult:
+    @_check("invariant ideal vanishing")
+    def check_invariant_vanishing(self) -> str:
         coinv = self.coinv
         rng = self.rng
         for _ in range(6):
             inv = self._invariant_positive_part()
             g = _rand_poly(rng, self.group.rank, 2)
             if not coinv.poly_to_schubert(inv * g).is_zero():
-                return CheckResult("invariant ideal vanishing", False, "")
-        return CheckResult("invariant ideal vanishing", True, "6 orbit sums")
+                raise _Fail("")
+        return "6 orbit sums"
 
-    def check_quotient_multiplicative(self) -> CheckResult:
+    @_check("quotient map multiplicativity")
+    def check_quotient_multiplicative(self) -> str:
         coinv = self.coinv
         rng = self.rng
         for _ in range(8):
@@ -562,10 +601,11 @@ class _Suite:
             left = coinv.poly_to_schubert(f * g)
             right = coinv.multiply(coinv.poly_to_schubert(f), coinv.poly_to_schubert(g))
             if left != right:
-                return CheckResult("quotient map multiplicativity", False, "")
-        return CheckResult("quotient map multiplicativity", True, "8 random pairs")
+                raise _Fail("")
+        return "8 random pairs"
 
-    def check_chevalley(self) -> CheckResult:
+    @_check("chevalley rule agreement")
+    def check_chevalley(self) -> str:
         group = self.group
         coinv = self.coinv
         for i in range(1, group.rank + 1):
@@ -573,12 +613,11 @@ class _Suite:
             for w in group.elements:
                 cls = coinv.schubert_class(w)
                 if coinv.chevalley_multiply(i, cls) != coinv.multiply(x_i, cls):
-                    return CheckResult("chevalley rule agreement", False, f"i={i} {w!r}")
-        return CheckResult(
-            "chevalley rule agreement", True, f"{group.rank} x {len(group.elements)}"
-        )
+                    raise _Fail(f"i={i} {w!r}")
+        return f"{group.rank} x {len(group.elements)}"
 
-    def check_structure_constants(self) -> CheckResult:
+    @_check("schubert structure constants")
+    def check_structure_constants(self) -> str:
         group = self.group
         coinv = self.coinv
         rng = self.rng
@@ -587,12 +626,13 @@ class _Suite:
             prod = coinv.multiply(coinv.schubert_class(x), coinv.schubert_class(y))
             for w, coeff in prod.items():
                 if coeff.denominator != 1 or coeff < 0:
-                    return CheckResult("schubert structure constants", False, f"{x!r} {y!r}")
+                    raise _Fail(f"{x!r} {y!r}")
                 if w.length != x.length + y.length:
-                    return CheckResult("schubert structure constants", False, "degree")
-        return CheckResult("schubert structure constants", True, scope)
+                    raise _Fail("degree")
+        return scope
 
-    def check_poincare_duality(self) -> CheckResult:
+    @_check("poincare duality")
+    def check_poincare_duality(self) -> str:
         group = self.group
         coinv = self.coinv
         w0 = group.w0
@@ -617,36 +657,37 @@ class _Suite:
                 coinv.schubert_class(x), coinv.schubert_class(y)
             ))
             if tr != Fraction(int(y == w0 * x)):
-                return CheckResult("poincare duality", False, f"{x!r} {y!r}")
-        return CheckResult("poincare duality", True, scope)
+                raise _Fail(f"{x!r} {y!r}")
+        return scope
 
-    def check_gram(self) -> CheckResult:
+    @_check("gram nondegeneracy")
+    def check_gram(self) -> str:
         group = self.group
         coinv = self.coinv
         w0 = group.w0
         for J in self.subsets:
             reps, gram = coinv.gram_matrix(J)
             if matrix_rank([list(row) for row in gram]) != len(reps):
-                return CheckResult("gram nondegeneracy", False, f"J={sorted(J)}")
+                raise _Fail(f"J={sorted(J)}")
             if not J:
                 for a, x in enumerate(reps):
                     for b, y in enumerate(reps):
                         if gram[a][b] != Fraction(int(y == w0 * x)):
-                            return CheckResult(
-                                "gram nondegeneracy", False, "empty-set form"
-                            )
-        return CheckResult("gram nondegeneracy", True, f"{len(self.subsets)} subsets")
+                            raise _Fail("empty-set form")
+        return f"{len(self.subsets)} subsets"
 
-    def check_parabolic_basis(self) -> CheckResult:
+    @_check("parabolic invariant basis")
+    def check_parabolic_basis(self) -> str:
         group = self.group
         coinv = self.coinv
         for J in self.subsets:
             basis = coinv.parabolic_basis(J)
             if len(basis) != len(group.min_coset_reps(J)):
-                return CheckResult("parabolic invariant basis", False, f"J={sorted(J)}")
-        return CheckResult("parabolic invariant basis", True, f"{len(self.subsets)} subsets")
+                raise _Fail(f"J={sorted(J)}")
+        return f"{len(self.subsets)} subsets"
 
-    def check_freeness(self) -> CheckResult:
+    @_check("parabolic freeness certificate")
+    def check_freeness(self) -> str:
         group = self.group
         coinv = self.coinv
         if len(group.elements) > _PRODUCT_CAP:
@@ -658,19 +699,17 @@ class _Suite:
         for J in todo:
             report = coinv.free_basis_over_parabolic(J)
             if report.expansion_rank != len(group.elements):
-                return CheckResult("parabolic freeness certificate", False, f"J={sorted(J)}")
+                raise _Fail(f"J={sorted(J)}")
             w_elems = group.parabolic_elements(J)
             for a in range(len(w_elems)):
                 for b in range(len(w_elems)):
                     want = Fraction(int(a == b))
                     if coinv.dual_pairing(J, report, a, b) != want:
-                        return CheckResult(
-                            "parabolic freeness certificate", False,
-                            f"pairing J={sorted(J)}",
-                        )
-        return CheckResult("parabolic freeness certificate", True, scope)
+                        raise _Fail(f"pairing J={sorted(J)}")
+        return scope
 
-    def check_demazure_words(self) -> CheckResult:
+    @_check("demazure word independence")
+    def check_demazure_words(self) -> str:
         group = self.group
         coinv = self.coinv
         cap = min(group.w0.length, 5)
@@ -699,12 +738,11 @@ class _Suite:
                 for i in reversed(alt):
                     g = coinv.demazure_simple(i, g)
                 if g != coinv.demazure(w, f):
-                    return CheckResult("demazure word independence", False, f"{w!r}")
-        return CheckResult(
-            "demazure word independence", True, f"degree cap {cap}"
-        )
+                    raise _Fail(f"{w!r}")
+        return f"degree cap {cap}"
 
-    def check_demazure_composition(self) -> CheckResult:
+    @_check("demazure composition rule")
+    def check_demazure_composition(self) -> str:
         group = self.group
         rng = self.rng
         if len(group.elements) <= 12:
@@ -718,10 +756,11 @@ class _Suite:
             scope = "24 sampled pairs"
         for w, u in pairs:
             if not self.coinv.demazure_compose_check(w, u):
-                return CheckResult("demazure composition rule", False, f"{w!r} {u!r}")
-        return CheckResult("demazure composition rule", True, scope)
+                raise _Fail(f"{w!r} {u!r}")
+        return scope
 
-    def check_cellular(self) -> CheckResult:
+    @_check("cellular chain filtration")
+    def check_cellular(self) -> str:
         coinv = self.coinv
         if len(self.group.elements) > _PRODUCT_CAP:
             todo = [frozenset(), frozenset(range(1, self.group.rank + 1))]
@@ -732,11 +771,11 @@ class _Suite:
         for J in todo:
             datum = coinv.cellular_datum(J)
             if not datum.chain_verified:
-                return CheckResult("cellular chain filtration", False, f"J={sorted(J)}")
+                raise _Fail(f"J={sorted(J)}")
             lengths = [entry[2] for entry in datum.entries]
             if lengths != sorted(lengths):
-                return CheckResult("cellular chain filtration", False, "degree order")
-        return CheckResult("cellular chain filtration", True, scope)
+                raise _Fail("degree order")
+        return scope
 
     # -- graded block matrices ---------------------------------------
 
@@ -751,8 +790,8 @@ class _Suite:
                 for J in small:
                     yield I, J
 
-    def check_inverse_pair(self) -> CheckResult:
-        group = self.group
+    @_check("graded inverse pair")
+    def check_inverse_pair(self) -> str:
         h = self.hecke
         count = 0
         for I, J in self._block_pairs():
@@ -762,23 +801,21 @@ class _Suite:
             d = decomposition_matrix(block, h)
             e = inverse_decomposition_matrix(block, h)
             if not (d @ e).is_identity():
-                return CheckResult(
-                    "graded inverse pair", False, f"I={sorted(I)} J={sorted(J)}"
-                )
+                raise _Fail(f"I={sorted(I)} J={sorted(J)}")
             for a, x in enumerate(d.rows):
                 for b, y in enumerate(d.cols):
                     entry = d.entries[a][b]
                     if x is y and entry != LaurentPoly.one():
-                        return CheckResult("graded inverse pair", False, "diagonal")
+                        raise _Fail("diagonal")
                     if not entry.has_nonnegative_coeffs():
-                        return CheckResult("graded inverse pair", False, "negativity")
+                        raise _Fail("negativity")
                     if entry != LaurentPoly.zero() and entry.min_exp() < 0:
-                        return CheckResult("graded inverse pair", False, "grading")
+                        raise _Fail("grading")
             count += 1
-        return CheckResult("graded inverse pair", True, f"{count} nonempty blocks")
+        return f"{count} nonempty blocks"
 
-    def check_cartan_symmetry(self) -> CheckResult:
-        group = self.group
+    @_check("cartan symmetry")
+    def check_cartan_symmetry(self) -> str:
         h = self.hecke
         for I, J in self._block_pairs():
             block = self.quiet_block(I, J)
@@ -786,43 +823,40 @@ class _Suite:
                 continue
             c = graded_cartan_matrix(block, h)
             if c != c.transpose():
-                return CheckResult(
-                    "cartan symmetry", False, f"I={sorted(I)} J={sorted(J)}"
-                )
+                raise _Fail(f"I={sorted(I)} J={sorted(J)}")
             d = decomposition_matrix(block, h)
             if projective_verma_flag(block, h) != d.transpose():
-                return CheckResult("cartan symmetry", False, "flag transpose")
-        return CheckResult("cartan symmetry", True, "")
+                raise _Fail("flag transpose")
+        return ""
 
-    def check_special_routes(self) -> CheckResult:
+    @_check("specialized route agreement")
+    def check_special_routes(self) -> str:
         group = self.group
         h = self.hecke
         for J in self.subsets:
             block = standard_block(group, (), J)
             if singular_case_decomposition(block, h) != decomposition_matrix(block, h):
-                return CheckResult("specialized route agreement", False, f"J={sorted(J)}")
+                raise _Fail(f"J={sorted(J)}")
             pblock = standard_block(group, J, ())
             if not pblock.index_set:
                 continue
             if parabolic_case_decomposition(pblock, h) != decomposition_matrix(pblock, h):
-                return CheckResult("specialized route agreement", False, f"I={sorted(J)}")
-        return CheckResult(
-            "specialized route agreement", True, f"{len(self.subsets)} each side"
-        )
+                raise _Fail(f"I={sorted(J)}")
+        return f"{len(self.subsets)} each side"
 
-    def check_graded_lengths(self) -> CheckResult:
+    @_check("graded length bounds")
+    def check_graded_lengths(self) -> str:
         group = self.group
         h = self.hecke
         for J in self.subsets:
             block = standard_block(group, (), J)
             for row in graded_length_report(block, h):
                 if not row.ok:
-                    return CheckResult(
-                        "graded length bounds", False, f"J={sorted(J)} x={row.x!r}"
-                    )
-        return CheckResult("graded length bounds", True, f"{len(self.subsets)} blocks")
+                    raise _Fail(f"J={sorted(J)} x={row.x!r}")
+        return f"{len(self.subsets)} blocks"
 
-    def check_palindromic(self) -> CheckResult:
+    @_check("graded dimension palindromicity")
+    def check_palindromic(self) -> str:
         group = self.group
         h = self.hecke
         for J in self.subsets:
@@ -832,15 +866,11 @@ class _Suite:
             for x in block.index_set:
                 vp = vp_graded_dimension(block, h, x, d)
                 if not vp.is_palindromic(center):
-                    return CheckResult(
-                        "graded dimension palindromicity", False,
-                        f"J={sorted(J)} x={x!r}",
-                    )
-        return CheckResult(
-            "graded dimension palindromicity", True, f"{len(self.subsets)} blocks"
-        )
+                    raise _Fail(f"J={sorted(J)} x={x!r}")
+        return f"{len(self.subsets)} blocks"
 
-    def check_bott_samelson(self) -> CheckResult:
+    @_check("bott-samelson reports")
+    def check_bott_samelson(self) -> str:
         group = self.group
         h = self.hecke
         d = self.regular_dmatrix()
@@ -848,14 +878,13 @@ class _Suite:
             report = bott_samelson_decomposition(self.regular, h, x.word, d)
             if not (report.dimension_identity_ok and report.top_multiplicity_ok
                     and report.support_ok and report.natural_coeffs_ok):
-                return CheckResult("bott-samelson reports", False, f"{x!r}")
+                raise _Fail(f"{x!r}")
             if report.shift != group.w0.length - x.length:
-                return CheckResult("bott-samelson reports", False, f"shift {x!r}")
-        return CheckResult(
-            "bott-samelson reports", True, f"one word per element, {len(group.elements)}"
-        )
+                raise _Fail(f"shift {x!r}")
+        return f"one word per element, {len(group.elements)}"
 
-    def check_translation(self) -> CheckResult:
+    @_check("translation composite")
+    def check_translation(self) -> str:
         group = self.group
         h = self.hecke
         for J in self.subsets:
@@ -865,12 +894,11 @@ class _Suite:
                 comp = translation_composite(self.regular, sing, x)
                 want = dict((h.t(x) * target).items())
                 if comp != want:
-                    return CheckResult(
-                        "translation composite", False, f"J={sorted(J)} x={x!r}"
-                    )
-        return CheckResult("translation composite", True, f"{len(self.subsets)} walls")
+                    raise _Fail(f"J={sorted(J)} x={x!r}")
+        return f"{len(self.subsets)} walls"
 
-    def check_ungraded(self) -> CheckResult:
+    @_check("ungraded specialization")
+    def check_ungraded(self) -> str:
         h = self.hecke
         d1, e1 = ungraded_specialization(self.regular, h)
         size = len(d1)
@@ -879,25 +907,27 @@ class _Suite:
             for a in range(size)
         ]
         if prod != [[int(a == b) for b in range(size)] for a in range(size)]:
-            return CheckResult("ungraded specialization", False, "not inverse at v=1")
+            raise _Fail("not inverse at v=1")
         if any(entry < 0 for row in d1 for entry in row):
-            return CheckResult("ungraded specialization", False, "negative multiplicity")
-        return CheckResult("ungraded specialization", True, f"{size}x{size} at v=1")
+            raise _Fail("negative multiplicity")
+        return f"{size}x{size} at v=1"
 
     # -- persistence --------------------------------------------------
 
-    def check_serialization(self) -> CheckResult:
+    @_check("matrix serialization round-trip")
+    def check_serialization(self) -> str:
         group = self.group
         d = self.regular_dmatrix()
         via_json = serialize.matrix_from_json(serialize.matrix_to_json(d), group)
         via_csv = serialize.matrix_from_csv(serialize.matrix_to_csv(d), group)
         if via_json != d or via_csv != d:
-            return CheckResult("matrix serialization round-trip", False, "")
+            raise _Fail("")
         if serialize.matrix_to_json(via_json) != serialize.matrix_to_json(d):
-            return CheckResult("matrix serialization round-trip", False, "determinism")
-        return CheckResult("matrix serialization round-trip", True, "json and csv")
+            raise _Fail("determinism")
+        return "json and csv"
 
-    def check_kl_cache(self) -> CheckResult:
+    @_check("kl cache round-trip")
+    def check_kl_cache(self) -> str:
         group = self.group
         h = self.hecke
         h.kl_basis_elements()
@@ -907,13 +937,13 @@ class _Suite:
             fresh = HeckeAlgebra(group)
             read = klcache.load_kl_table(path, fresh)
             if wrote != read:
-                return CheckResult("kl cache round-trip", False, f"{wrote} vs {read}")
+                raise _Fail(f"{wrote} vs {read}")
             for (y, w), poly in h.kl_table.entries.items():
                 if fresh.kl_table.get(y, w) != poly:
-                    return CheckResult("kl cache round-trip", False, f"{y!r},{w!r}")
+                    raise _Fail(f"{y!r},{w!r}")
             if fresh.kl_element(group.w0) != h.kl_element(group.w0):
-                return CheckResult("kl cache round-trip", False, "rebuild")
-        return CheckResult("kl cache round-trip", True, f"{wrote} records")
+                raise _Fail("rebuild")
+        return f"{wrote} records"
 
 
 def run_all_checks(
@@ -921,56 +951,9 @@ def run_all_checks(
 ) -> list[CheckResult]:
     """Run the full cross-validation catalogue for one type."""
     suite = _Suite(kind)
-    catalogue = [
-        suite.check_laurent_ring,
-        suite.check_laurent_text,
-        suite.check_poly_ring,
-        suite.check_poly_division,
-        suite.check_root_permutation,
-        suite.check_length_identities,
-        suite.check_descents,
-        suite.check_bruhat_closure,
-        suite.check_coset_factorization,
-        suite.check_double_quotient,
-        suite.check_dot_action,
-        suite.check_antidominant_rep,
-        suite.check_quadratic_relation,
-        suite.check_length_additive_products,
-        suite.check_bar_involution,
-        suite.check_kl_axioms,
-        suite.check_kl_oracle,
-        suite.check_kl_products,
-        suite.check_descent_rule,
-        suite.check_projection_roundtrip,
-        suite.check_invariant_vanishing,
-        suite.check_quotient_multiplicative,
-        suite.check_chevalley,
-        suite.check_structure_constants,
-        suite.check_poincare_duality,
-        suite.check_gram,
-        suite.check_parabolic_basis,
-        suite.check_freeness,
-        suite.check_demazure_words,
-        suite.check_demazure_composition,
-        suite.check_cellular,
-        suite.check_inverse_pair,
-        suite.check_cartan_symmetry,
-        suite.check_special_routes,
-        suite.check_graded_lengths,
-        suite.check_palindromic,
-        suite.check_bott_samelson,
-        suite.check_translation,
-        suite.check_ungraded,
-        suite.check_serialization,
-        suite.check_kl_cache,
-    ]
     results = []
-    for fn in catalogue:
-        try:
-            result = fn()
-        except Exception as exc:  # a crash is a failed check, not a crash of the suite
-            name = fn.__name__.removeprefix("check_").replace("_", " ")
-            result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+    for _, check in _CATALOGUE:
+        result = check(suite)
         results.append(result)
         if progress is not None:
             progress(result)

@@ -282,13 +282,14 @@ def _cmd_gram(args) -> int:
     return 0
 
 
-def _matrix_command(args, builder) -> int:
-    group = _group(args)
-    hecke = HeckeAlgebra(group)
-    block = _block(args, group)
-    matrix = builder(block, hecke)
-    _print_matrix(matrix, args)
-    return 0
+def _matrix_command(builder):
+    """Handler printing the matrix ``builder`` makes for the chosen block."""
+    def handler(args) -> int:
+        group = _group(args)
+        hecke = HeckeAlgebra(group)
+        _print_matrix(builder(_block(args, group), hecke), args)
+        return 0
+    return handler
 
 
 def _cmd_vp_dims(args) -> int:
@@ -454,13 +455,13 @@ def _build_parser() -> _Parser:
             formats=("table", "json", "csv"))
     p.add_argument("--J", type=_parse_subset, default=frozenset(),
                    help="comma-separated simple indices (1-based)")
-    add("decomp", _matrix_command_handler(decomposition_matrix),
+    add("decomp", _matrix_command(decomposition_matrix),
         "graded decomposition matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
-    add("inverse-decomp", _matrix_command_handler(inverse_decomposition_matrix),
+    add("inverse-decomp", _matrix_command(inverse_decomposition_matrix),
         "inverse graded decomposition matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
-    add("cartan", _matrix_command_handler(graded_cartan_matrix),
+    add("cartan", _matrix_command(graded_cartan_matrix),
         "graded Cartan matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
     add("vp-dims", _cmd_vp_dims, "graded dimensions on the wall", subsets=True)
@@ -472,12 +473,6 @@ def _build_parser() -> _Parser:
                    help="comma-separated simple indices (1-based)")
     add("check-all", _cmd_check_all, "run the full cross-validation suite")
     return parser
-
-
-def _matrix_command_handler(builder):
-    def handler(args):
-        return _matrix_command(args, builder)
-    return handler
 
 
 def main(argv=None) -> int:

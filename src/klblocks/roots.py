@@ -120,8 +120,6 @@ class RootDatum:
         self.pos_roots = pos_roots
         self.pos_coroots = pos_coroots
         self.pos_roots_omega = tuple(self.root_to_omega(r) for r in pos_roots)
-        self._omega_index = {w: i for i, w in enumerate(self.pos_roots_omega)}
-        self._neg_omega = {tuple(-x for x in w) for w in self.pos_roots_omega}
         self.reflections = tuple(
             self._reflection_matrix(i) for i in range(len(pos_roots))
         )
@@ -159,9 +157,6 @@ class RootDatum:
             t for t in range(len(self.pos_roots))
             if self.root_support(t) <= subset
         )
-
-    def is_negative_omega(self, w: Sequence[int]) -> bool:
-        return tuple(w) in self._neg_omega
 
     def _reflection_matrix(self, root_index: int) -> IntMatrix:
         """Matrix of s_beta on fundamental-weight coordinates."""

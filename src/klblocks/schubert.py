@@ -49,23 +49,14 @@ class NotFreeError(ValueError):
 
 
 class SchubertElem:
-    """Rational combination of Schubert classes X_w.
+    """Rational combination of Schubert classes X_w."""
 
-    parabolic, when set, records that the element lies in the span of
-    the X_d with d minimal in d W_J (the invariant subalgebra C^J).
-    """
+    __slots__ = ("algebra", "_c")
 
-    __slots__ = ("algebra", "_c", "parabolic")
-
-    def __init__(
-        self,
-        algebra: "CoinvariantAlgebra",
-        coeffs: Mapping[WeylElem, Fraction],
-        parabolic: frozenset[int] | None = None,
-    ):
+    def __init__(self, algebra: "CoinvariantAlgebra",
+                 coeffs: Mapping[WeylElem, Fraction]):
         self.algebra = algebra
         self._c = {w: Fraction(c) for w, c in coeffs.items() if c}
-        self.parabolic = parabolic
 
     def items(self) -> tuple[tuple[WeylElem, Fraction], ...]:
         return tuple(sorted(self._c.items(), key=lambda wc: wc[0].index))
@@ -86,12 +77,10 @@ class SchubertElem:
         c = dict(self._c)
         for w, x in other._c.items():
             c[w] = c.get(w, Fraction(0)) + x
-        flag = self.parabolic if self.parabolic == other.parabolic else None
-        return SchubertElem(self.algebra, c, flag)
+        return SchubertElem(self.algebra, c)
 
     def __neg__(self) -> "SchubertElem":
-        return SchubertElem(self.algebra, {w: -x for w, x in self._c.items()},
-                            self.parabolic)
+        return SchubertElem(self.algebra, {w: -x for w, x in self._c.items()})
 
     def __sub__(self, other: "SchubertElem") -> "SchubertElem":
         return self + (-other)
@@ -105,8 +94,7 @@ class SchubertElem:
 
     def scale(self, c) -> "SchubertElem":
         c = Fraction(c)
-        return SchubertElem(self.algebra, {w: x * c for w, x in self._c.items()},
-                            self.parabolic)
+        return SchubertElem(self.algebra, {w: x * c for w, x in self._c.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchubertElem) and self._c == other._c
@@ -276,15 +264,11 @@ class CoinvariantAlgebra:
                     coeffs[w] = c
         return SchubertElem(self, coeffs)
 
-    def schubert_class(self, w: WeylElem,
-                       parabolic: frozenset[int] | None = None) -> SchubertElem:
-        return SchubertElem(self, {w: Fraction(1)}, parabolic)
+    def schubert_class(self, w: WeylElem) -> SchubertElem:
+        return SchubertElem(self, {w: Fraction(1)})
 
     def multiply(self, a: SchubertElem, b: SchubertElem) -> SchubertElem:
-        flag = a.parabolic if a.parabolic == b.parabolic else None
-        out = self.poly_to_schubert(self.elem_rep(a) * self.elem_rep(b))
-        out.parabolic = flag
-        return out
+        return self.poly_to_schubert(self.elem_rep(a) * self.elem_rep(b))
 
     def chevalley_multiply(self, i: int, a: SchubertElem) -> SchubertElem:
         """X_{s_i} * a by the Chevalley rule over lengthening reflections."""
@@ -351,7 +335,7 @@ class CoinvariantAlgebra:
                     raise NotInParabolicError(
                         f"X_{d!r} failed W_J-invariance for J={sorted(J)}"
                     )
-            out.append(self.schubert_class(d, parabolic=J))
+            out.append(self.schubert_class(d))
         return tuple(out)
 
     # -- freeness over a parabolic piece -----------------------------
@@ -449,9 +433,7 @@ class CoinvariantAlgebra:
         group = self.group
         reps = group.min_coset_reps(J)
         rep_set = set(reps)
-        entries = tuple(
-            (w, self.schubert_class(w, parabolic=J), 2 * w.length) for w in reps
-        )
+        entries = tuple((w, self.schubert_class(w), 2 * w.length) for w in reps)
         verified = True
         for u in reps:
             if u.length == 0:

@@ -58,11 +58,11 @@ def plain_table(row_labels: Sequence[str], col_labels: Sequence[str],
     return "\n".join(lines)
 
 
-def matrix_to_table(m: GradedMatrix, var: str = "v") -> str:
+def matrix_to_table(m: GradedMatrix) -> str:
     return plain_table(
         [word_label(w) for w in m.rows],
         [word_label(w) for w in m.cols],
-        [[e.render(var) for e in row] for row in m.entries],
+        [[e.render() for e in row] for row in m.entries],
         corner="w",
     )
 
@@ -95,14 +95,14 @@ def matrix_from_json(text: str, group: WeylGroup) -> GradedMatrix:
     return GradedMatrix(rows, cols, entries)
 
 
-def matrix_to_csv(m: GradedMatrix, var: str = "v") -> str:
+def matrix_to_csv(m: GradedMatrix) -> str:
     lines = [",".join(["w", *(word_label(w) for w in m.cols)])]
     for w, row in zip(m.rows, m.entries):
-        lines.append(",".join([word_label(w), *(e.render(var) for e in row)]))
+        lines.append(",".join([word_label(w), *(e.render() for e in row)]))
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str, group: WeylGroup, var: str = "v") -> GradedMatrix:
+def matrix_from_csv(text: str, group: WeylGroup) -> GradedMatrix:
     lines = [line for line in text.strip().splitlines() if line]
     if not lines or lines[0].split(",")[0] != "w":
         raise ValueError("missing CSV header")
@@ -115,5 +115,5 @@ def matrix_from_csv(text: str, group: WeylGroup, var: str = "v") -> GradedMatrix
         if len(parts) != len(cols) + 1:
             raise ValueError(f"bad CSV row {line!r}")
         rows.append(_label_elem(group, parts[0]))
-        entries.append(tuple(LaurentPoly.parse(p, var) for p in parts[1:]))
+        entries.append(tuple(LaurentPoly.parse(p) for p in parts[1:]))
     return GradedMatrix(tuple(rows), cols, tuple(entries))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .roots import RootDatum, Weight, build_root_system, parse_kind, rho
+from .roots import RootDatum, Weight, build_root_system, parse_kind
 
 __all__ = ["NotCanonicalError", "WeylElem", "WeylGroup"]
 
@@ -340,12 +340,6 @@ class WeylGroup:
 
     def dot_stabilizer(self, weight: Sequence[int]) -> tuple[WeylElem, ...]:
         return tuple(w for w in self.elements if w.dot(weight) == tuple(weight))
-
-    def sort_elems(self, elems: Iterable[WeylElem]) -> tuple[WeylElem, ...]:
-        return tuple(sorted(elems, key=lambda w: w.index))
-
-    def rho_weight(self) -> Weight:
-        return rho(self.rank)
 
     def __repr__(self) -> str:
         return f"WeylGroup({self.kind}, order {self.order})"

@@ -2,6 +2,7 @@ import pytest
 
 from klblocks import HeckeAlgebra, run_all_checks
 from klblocks.checks import (
+    _CATALOGUE,
     CheckResult,
     _Suite,
     bruhat_closure_leq,
@@ -75,3 +76,29 @@ def test_poincare_duality_computes_beyond_the_product_cap():
     assert result.passed
     assert "covered" not in result.detail
     assert result.detail.startswith("sampled")
+
+
+def test_crashing_check_fails_under_its_declared_name(monkeypatch, capsys):
+    from klblocks import checks
+    from klblocks.cli import main
+
+    names = [r.name for r in run_all_checks("A2")]
+
+    def boom(hecke, w):
+        raise RuntimeError("oracle down")
+
+    monkeypatch.setattr(checks, "kl_bar_solve", boom)
+    results = run_all_checks("A2")
+    assert len(results) == 41
+    assert [r.name for r in results] == names
+    assert [r.line() for r in results if not r.passed] == [
+        "FAIL kl bar-solve oracle  (raised RuntimeError: oracle down)"]
+    assert main(["check-all", "--type", "A2"]) == 2
+    assert "FAIL kl bar-solve oracle  (raised RuntimeError" in capsys.readouterr().out
+
+
+def test_every_check_method_is_catalogued_once_in_order():
+    methods = [fn for attr, fn in vars(_Suite).items() if attr.startswith("check_")]
+    assert [check for _, check in _CATALOGUE] == methods
+    names = [name for name, _ in _CATALOGUE]
+    assert len(names) == len(set(names)) == 41

@@ -263,6 +263,21 @@ def test_schubert_and_gram_bytes_are_stable(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of check-all stdout, recorded before each check came to declare its
+# name once: every name, detail, outcome and random draw must stay put.
+@pytest.mark.parametrize("kind, digest", [
+    ("A1", "82bafe4f1c2e7445ab52369df56d3068c779b8614480b160b522acd93c4a6c66"),
+    ("A2", "c22e154d23e70999aa7c76f8b34f5517b21dfb52c24fe75d58562c9e05a2ac1a"),
+    ("B2", "ee178c00a61fb71e489cc12e4ef0106b2533c26892660f0e5767dfa836afc8e7"),
+    ("G2", "a027716db4e071eedf638ddc8b9faae64560304be19584ac880aaf60159ea388"),
+    ("A3", "32e628356bf42144bbe26161e741771aeaacbbbb85e8d32eb2d5499053464aac"),
+])
+def test_check_all_bytes_are_stable(capsys, kind, digest):
+    assert run(["check-all", "--type", kind]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Prints the klblocks submodules loaded by one command, after its output.
 _IMPORT_PROBE = """
 import sys
