@@ -278,6 +278,53 @@ def test_check_all_bytes_are_stable(capsys, kind, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded while each Weyl element still carried an
+# integer matrix: element order, words and w0 must not drift with the
+# enumeration.
+@pytest.mark.parametrize("argv, digest", [
+    (["root-system", "--type", "A1"],
+     "3329a958566991be3a9d105a7ae959c16363f62f7c2274247f756b4008196e20"),
+    (["root-system", "--type", "A1", "--format", "json"],
+     "5ba142f2bb32cd3d4d92ca37eb074a53e0e79da60237bd71560a0f075eea4985"),
+    (["root-system", "--type", "A4"],
+     "4552f8f16e5fd9d82f35d0def722be0159a04ad8ccf5f360defdf8c2908fd46e"),
+    (["root-system", "--type", "A4", "--format", "json"],
+     "9558b5f8fcd198618d403d299778ae5ba89a22db726dee7951d22334ed1a67fe"),
+    (["root-system", "--type", "B3"],
+     "26adf9ef9cc1880bc27bc4056798a2b7410c6546814aa7ea907e7ab24f542f90"),
+    (["root-system", "--type", "B3", "--format", "json"],
+     "9c1a4709bd732c8bebf360c6d2d7aa432d61327ea68fadebf758d023b467324d"),
+    (["root-system", "--type", "C3"],
+     "ad2dd2a434e4e331cced26476998d069c6fbdf56491c162e33c3e8ca68d2dc0d"),
+    (["root-system", "--type", "C3", "--format", "json"],
+     "f669c2e4ca4ae0834d428a47c723e73264d7ce52c89bd6f562611012146fbce9"),
+    (["root-system", "--type", "D4"],
+     "ef0fb13d3daa9a78fca6159b999c778b493d09364e14cfa6c34ed1f449c0235e"),
+    (["root-system", "--type", "D4", "--format", "json"],
+     "6022f7a4f0350aa0d4e72eab7ba20f06e168428f0bd835f1aa07809c229c0702"),
+    (["root-system", "--type", "F4"],
+     "d229e1f561c7fa8ec7d85f36cd8b2bdd1369e5242179bbade66e1555458f07f3"),
+    (["root-system", "--type", "F4", "--format", "json"],
+     "ad9a5d073cba0981d9ae401b54935dd2569641159100d321437817d7653ab975"),
+    (["root-system", "--type", "G2"],
+     "f0e68656699e82e466a15a3ceccf55d662b099e4097bb25603a52d86d89c2843"),
+    (["root-system", "--type", "G2", "--format", "json"],
+     "66abf646b08448e1e4dea5e3be0d95f36be79d5603a1a498d93d42726a9051b3"),
+    (["root-system", "--type", "E6"],
+     "ab29b5cb8b903501fa330d0fc2baf1ca859906f4ced0321aa7499f2435ba50bf"),
+    (["root-system", "--type", "E6", "--format", "json"],
+     "1165063c61fd7b8ef525059e8011086cf6fb43ea60bcbc2b8c3f11f36e9fe800"),
+    (["weyl", "--type", "B3", "--I", "1", "--J", "3"],
+     "7aec9b8f60f5f6c806ccc385c3c2bd65b621408aca0e113e9b0fc880dc2cdcd9"),
+    (["weyl", "--type", "G2", "--format", "json"],
+     "fe549e478dfb0c92fba654d10ea065fe865e6c84e8076b24371ea814a7a93b3c"),
+])
+def test_root_system_and_weyl_bytes_are_stable(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Prints the klblocks submodules loaded by one command, after its output.
 _IMPORT_PROBE = """
 import sys
