@@ -313,11 +313,12 @@ class _Suite:
         rng = self.rng
         coinv = self.coinv
         nroots = len(self.group.datum.pos_roots)
+        zero = RatPoly.zero(self.group.rank)
         for trial in range(40):
             root = coinv.root_poly(rng.randrange(nroots))
-            f = _rand_homogeneous(rng, self.group.rank, rng.randint(1, 3))
-            if f == RatPoly.zero(self.group.rank):
-                continue
+            f = zero
+            while f == zero:
+                f = _rand_homogeneous(rng, self.group.rank, rng.randint(1, 3))
             if divide_by_linear(f * root, root) != f:
                 raise _Fail(f"trial {trial}")
         probe = coinv.weight_poly(1) * coinv.weight_poly(1)

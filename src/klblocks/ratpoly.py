@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, attrgetter, index
+from operator import add, attrgetter
 
 __all__ = ["RatPoly", "NonDivisibleError", "divide_by_linear"]
 
@@ -287,35 +287,6 @@ class RatPoly:
         for _ in range(len(powers), self.degree_in(j) + 1):
             powers.append(powers[-1] * image)
         return self.substitute_powers(j, powers)
-
-    def apply_matrix(self, matrix: Sequence[Sequence[int]]) -> "RatPoly":
-        """Substitute variable j -> sum_i matrix[i][j] * w_{i+1}.
-
-        This is the action of a Weyl element given by its integer matrix
-        on fundamental-weight coordinates.
-        """
-        n = self.nvars
-        unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        images = [
-            RatPoly._normalized(
-                n, {unit[i]: index(matrix[i][j]) for i in range(n) if matrix[i][j]}
-            )
-            for j in range(n)
-        ]
-        pow_cache: list[list[RatPoly]] = [[RatPoly.one(n)] for _ in range(n)]
-        t: dict[Monomial, int] = {}
-        for m, c in self._t.items():
-            factor = RatPoly._normalized(n, {(0,) * n: c})
-            for j, e in enumerate(m):
-                if not e:
-                    continue
-                cache = pow_cache[j]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * images[j])
-                factor = factor * cache[e]
-            for mm, cc in factor._t.items():
-                t[mm] = t.get(mm, 0) + cc
-        return RatPoly._normalized(n, {m: c for m, c in t.items() if c}, self._den)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest monomial in graded-lex order with its coefficient."""

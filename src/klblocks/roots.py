@@ -109,7 +109,7 @@ def cartan_matrix(kind: str) -> IntMatrix:
 
 
 class RootDatum:
-    """A root system with positive roots, coroots and reflection data."""
+    """A root system with its positive roots and coroots."""
 
     def __init__(self, kind: str, cartan: IntMatrix,
                  pos_roots: tuple[tuple[int, ...], ...],
@@ -120,9 +120,6 @@ class RootDatum:
         self.pos_roots = pos_roots
         self.pos_coroots = pos_coroots
         self.pos_roots_omega = tuple(self.root_to_omega(r) for r in pos_roots)
-        self.reflections = tuple(
-            self._reflection_matrix(i) for i in range(len(pos_roots))
-        )
 
     @property
     def num_positive_roots(self) -> int:
@@ -156,16 +153,6 @@ class RootDatum:
         return tuple(
             t for t in range(len(self.pos_roots))
             if self.root_support(t) <= subset
-        )
-
-    def _reflection_matrix(self, root_index: int) -> IntMatrix:
-        """Matrix of s_beta on fundamental-weight coordinates."""
-        beta = self.pos_roots_omega[root_index]
-        d = self.pos_coroots[root_index]
-        n = self.rank
-        return tuple(
-            tuple((1 if m == k else 0) - d[k] * beta[m] for k in range(n))
-            for m in range(n)
         )
 
     def __repr__(self) -> str:

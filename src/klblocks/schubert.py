@@ -169,8 +169,10 @@ class CoinvariantAlgebra:
         return RatPoly.variable(self.nvars, i - 1)
 
     def act(self, w: WeylElem, f: RatPoly) -> RatPoly:
-        """Weyl group action by linear substitution of the variables."""
-        return f.apply_matrix(w.matrix)
+        """Weyl group action, simple reflections along the word of w."""
+        for i in reversed(w.word):
+            f = self.act_simple(i, f)
+        return f
 
     def act_simple(self, i: int, f: RatPoly) -> RatPoly:
         return f.substitute_single(i - 1, self._si_image[i - 1],

@@ -2,17 +2,21 @@
 
 A group enumerates itself on construction (``weyl_group_of_kind``
 refuses more than ``MAX_GROUP_ORDER`` elements) and numbers its elements
-in canonical order.  The enumeration records, per simple reflection s_i,
-the tables ``right[i - 1][x] = index of w_x s_i`` and
-``left[i - 1][x] = index of s_i w_x``, after the per-generator shift
-tables of du Cloux's Coxeter program.  Products, reduced words,
-descents and the Bruhat order read these tables.  Each element is
-interned: there is one object per group element, equality is identity
-and the hash is the canonical index.  The integer matrix on
-fundamental-weight coordinates is kept only for the actions on weights.
+in canonical order.  W acts simply transitively on the orbit of rho, so
+the enumeration is a breadth-first search over the points w(rho), each
+step a simple reflection s_i lambda = lambda - lambda_i alpha_i; no
+element carries a matrix.  The search records, per simple reflection
+s_i, the tables ``left[i - 1][x] = index of s_i w_x`` and
+``right[i - 1][x] = index of w_x s_i``, after the per-generator shift
+tables of du Cloux's Coxeter program, and a table of inverses.
+Products, reduced words, descents and the Bruhat order read these
+tables; the actions on weights apply simple reflections along a word.
+Each element is interned: there is one object per group element,
+equality is identity and the hash is the canonical index.
 
 Reduced words use 1-based simple indices and are computed by stripping
-the smallest left descent, which fixes a canonical word per element.
+the smallest left descent, the first negative coordinate of w(rho),
+which fixes a canonical word per element.
 Elements sort by (length, canonical word); all listings follow that
 order.
 """
@@ -27,8 +31,8 @@ from .roots import RootDatum, Weight, build_root_system, parse_kind
 __all__ = ["NotCanonicalError", "WeylElem", "WeylGroup"]
 
 # Largest |W| that weyl_group_of_kind enumerates.  E6 (51 840 elements)
-# builds in about 20 s and 100 MB; E7, E8, A8, B7, C7 and D7 could not
-# finish and are refused before any work is done.
+# builds in about 2 s and 60 MB; E7, E8, A8, B7, C7 and D7 are refused
+# before any work is done.
 MAX_GROUP_ORDER = 100_000
 
 _FAMILY_ORDER = {
@@ -41,34 +45,17 @@ _FAMILY_ORDER = {
     "G": lambda n: 12,
 }
 
-IntMatrix = tuple[tuple[int, ...], ...]
-
-
 class NotCanonicalError(ValueError):
     """Raised when a weight is neither dominant nor antidominant."""
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[m][t] * b[t][k] for t in range(n)) for k in range(n))
-        for m in range(n)
-    )
-
-
-def _matvec(a: IntMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in a)
 
 
 class WeylElem:
     """One interned group element: equal elements are the same object."""
 
-    __slots__ = ("group", "matrix", "length", "index", "word")
+    __slots__ = ("group", "length", "index", "word")
 
-    def __init__(self, group: "WeylGroup", matrix: IntMatrix, index: int,
-                 word: tuple[int, ...]):
+    def __init__(self, group: "WeylGroup", index: int, word: tuple[int, ...]):
         self.group = group
-        self.matrix = matrix
         self.index = index  # position in canonical order
         self.word = word  # canonical reduced word
         self.length = len(word)
@@ -91,12 +78,14 @@ class WeylElem:
 
     def act(self, weight: Sequence[int]) -> Weight:
         """Linear action on fundamental-weight coordinates."""
-        return _matvec(self.matrix, weight)
+        weight = tuple(weight)
+        for i in reversed(self.word):
+            weight = self.group._reflect(i - 1, weight)
+        return weight
 
     def dot(self, weight: Sequence[int]) -> Weight:
         """Dot action w . lambda = w(lambda + rho) - rho."""
-        shifted = tuple(x + 1 for x in weight)
-        return tuple(x - 1 for x in _matvec(self.matrix, shifted))
+        return tuple(x - 1 for x in self.act(tuple(x + 1 for x in weight)))
 
     def __hash__(self) -> int:
         return self.index
@@ -112,42 +101,44 @@ class WeylGroup:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.rank = n = datum.rank
-        self._inverses: dict[WeylElem, WeylElem] = {}
+        # _alpha[i] is alpha_{i+1} in fundamental-weight coordinates
+        self._alpha = tuple(tuple(row[i] for row in datum.cartan) for i in range(n))
         self._bruhat: dict[tuple[int, int], bool] = {}
 
-        # Breadth-first search from the identity: the search position
-        # of an element is a temporary name, its depth is its length.
-        simples = tuple(
-            datum.reflections[datum.simple_root_index(i)] for i in range(1, n + 1)
-        )
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        matrices = [identity]
-        found = {identity: 0}
+        # Breadth-first search over the orbit of rho: the point w(rho)
+        # names w, its search position is a temporary name and its
+        # depth is its length.
+        points = [(1,) * n]
+        found = {points[0]: 0}
         depth = [0]
-        parent = [(0, 0)]  # (position of u, i) with this element = u s_i
-        right: list[list[int]] = [[] for _ in range(n)]
-        for pos, w in enumerate(matrices):  # grows while read: a queue
-            for i, s in enumerate(simples):
-                m = _matmul(w, s)
-                nxt = found.get(m)
+        parent = [(0, 0)]  # (position of u, i) with this element = s_i u
+        left: list[list[int]] = [[] for _ in range(n)]
+        for pos, point in enumerate(points):  # grows while read: a queue
+            for i in range(n):
+                p = self._reflect(i, point)
+                nxt = found.get(p)
                 if nxt is None:
-                    nxt = found[m] = len(matrices)
-                    matrices.append(m)
+                    nxt = found[p] = len(points)
+                    points.append(p)
                     depth.append(depth[pos] + 1)
                     parent.append((pos, i))
-                right[i].append(nxt)
-        # s_i (u s_j) = (s_i u) s_j, and u comes earlier in the search.
-        left: list[list[int]] = [[row[0]] for row in right]
-        for pos in range(1, len(matrices)):
+                left[i].append(nxt)
+        # (s_j u) s_i = s_j (u s_i) and (s_j u)^-1 = u^-1 s_j, where u
+        # and u^-1 come earlier in the search.
+        right: list[list[int]] = [[row[0]] for row in left]
+        inverse = [0]
+        for pos in range(1, len(points)):
             u, j = parent[pos]
             for i in range(n):
-                left[i].append(right[j][left[i][u]])
+                right[i].append(left[j][right[i][u]])
+            inverse.append(right[j][inverse[u]])
+        # Left descents are the negative coordinates of w(rho).
         words: list[tuple[int, ...]] = [()]
-        for pos in range(1, len(matrices)):
-            i = next(i for i in range(n) if depth[left[i][pos]] < depth[pos])
+        for pos in range(1, len(points)):
+            i = next(i for i, c in enumerate(points[pos]) if c < 0)
             words.append((i + 1,) + words[left[i][pos]])
 
-        order = sorted(range(len(matrices)), key=lambda p: (depth[p], words[p]))
+        order = sorted(range(len(points)), key=lambda p: (depth[p], words[p]))
         rank_of = {pos: k for k, pos in enumerate(order)}
         self.right: tuple[tuple[int, ...], ...] = tuple(
             tuple(rank_of[row[pos]] for pos in order) for row in right
@@ -155,12 +146,22 @@ class WeylGroup:
         self.left: tuple[tuple[int, ...], ...] = tuple(
             tuple(rank_of[row[pos]] for pos in order) for row in left
         )
+        self._inverse = tuple(rank_of[inverse[pos]] for pos in order)
         self.elements: tuple[WeylElem, ...] = tuple(
-            WeylElem(self, matrices[pos], k, words[pos]) for k, pos in enumerate(order)
+            WeylElem(self, k, words[pos]) for k, pos in enumerate(order)
         )
-        self._by_matrix = {w.matrix: w for w in self.elements}
+        # s_beta is the element whose point is rho - <rho, beta^vee> beta.
+        self._reflections = tuple(
+            self.elements[rank_of[found[tuple(1 - sum(d) * b for b in beta)]]]
+            for beta, d in zip(datum.pos_roots_omega, datum.pos_coroots)
+        )
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
+
+    def _reflect(self, i: int, weight: Weight) -> Weight:
+        """s_{i+1} weight = weight - weight[i] * alpha_{i+1}, 0-based i."""
+        c = weight[i]
+        return tuple(x - c * a for x, a in zip(weight, self._alpha[i]))
 
     @property
     def kind(self) -> str:
@@ -170,12 +171,6 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element(self, matrix: IntMatrix) -> WeylElem:
-        try:
-            return self._by_matrix[matrix]
-        except KeyError:
-            raise ValueError(f"matrix does not belong to W({self.kind})") from None
-
     def simple(self, i: int) -> WeylElem:
         """The simple reflection s_i, 1-based."""
         if not 1 <= i <= self.rank:
@@ -184,7 +179,7 @@ class WeylGroup:
 
     def reflection(self, root_index: int) -> WeylElem:
         """The reflection in the positive root numbered root_index."""
-        return self._by_matrix[self.datum.reflections[root_index]]
+        return self._reflections[root_index]
 
     def word_elem(self, word: Iterable[int]) -> WeylElem:
         """The product of the word's simple reflections; any word is accepted."""
@@ -200,11 +195,7 @@ class WeylGroup:
         return w.word
 
     def inverse(self, w: WeylElem) -> WeylElem:
-        cached = self._inverses.get(w)
-        if cached is None:
-            cached = self.word_elem(reversed(w.word))
-            self._inverses[w] = cached
-        return cached
+        return self.elements[self._inverse[w.index]]
 
     # -- descents and Bruhat order -----------------------------------
 

@@ -1,6 +1,6 @@
 import pytest
 
-from klblocks import HeckeAlgebra, run_all_checks
+from klblocks import HeckeAlgebra, divide_by_linear, run_all_checks
 from klblocks.checks import (
     _CATALOGUE,
     CheckResult,
@@ -102,3 +102,25 @@ def test_every_check_method_is_catalogued_once_in_order():
     assert [check for _, check in _CATALOGUE] == methods
     names = [name for name, _ in _CATALOGUE]
     assert len(names) == len(set(names)) == 41
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "G2", "B3"])
+def test_division_check_runs_forty_exact_divisions(monkeypatch, kind):
+    from klblocks import checks
+
+    calls = []
+
+    def counting(f, linear):
+        calls.append(linear)
+        return divide_by_linear(f, linear)
+
+    monkeypatch.setattr(checks, "divide_by_linear", counting)
+    suite = _Suite(kind)
+    # Replay the catalogue up to the division check, so its random draws
+    # are the ones check-all makes.
+    for _, check in _CATALOGUE:
+        result = check(suite)
+        if check.__name__ == "check_poly_division":
+            break
+    assert result.passed and result.detail == "40 exact + 1 rejected"
+    assert len(calls) == 41

@@ -47,14 +47,6 @@ def test_substitute_single():
     assert len(cache) >= 3
 
 
-def test_apply_matrix_involution():
-    # reflection matrix of s_1 in A2 on fundamental-weight coordinates
-    s1 = ((-1, 0), (1, 1))
-    f = x(1) ** 2 + x(1) * x(2)
-    g = f.apply_matrix(s1)
-    assert g.apply_matrix(s1) == f
-
-
 def test_leading_term_graded_lex():
     f = x(1) * x(1) + x(1) * x(2) + x(2)
     mono, coeff = f.leading_term()

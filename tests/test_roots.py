@@ -1,6 +1,6 @@
 import pytest
 
-from klblocks import UnknownTypeError, build_root_system, cartan_matrix
+from klblocks import UnknownTypeError, build_root_system, cartan_matrix, weyl_group
 from klblocks.roots import parse_kind, rho
 
 
@@ -67,21 +67,14 @@ def test_g2_roots_frozen():
     ]
 
 
-def test_reflection_matrices_are_involutions():
-    datum = build_root_system("B3")
-    n = datum.rank
-    identity = tuple(
-        tuple(int(a == b) for b in range(n)) for a in range(n)
-    )
-    for t in range(len(datum.pos_roots)):
-        m = datum.reflections[t]
-        square = tuple(
-            tuple(
-                sum(m[a][k] * m[k][b] for k in range(n)) for b in range(n)
-            )
-            for a in range(n)
-        )
-        assert square == identity
+@pytest.mark.parametrize("kind", ["B3", "G2", "D4"])
+def test_root_reflections_are_odd_involutions_negating_their_root(kind):
+    group = weyl_group(kind)
+    for t, beta in enumerate(group.datum.pos_roots_omega):
+        s = group.reflection(t)
+        assert s * s is group.identity
+        assert s.length % 2 == 1
+        assert s.act(beta) == tuple(-c for c in beta)
 
 
 def test_omega_coordinates_match_cartan_columns():

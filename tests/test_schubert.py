@@ -183,6 +183,22 @@ def test_schubert_elem_arithmetic(coinv_a2, a2):
     assert "X[" in repr(x1)
 
 
+@pytest.mark.parametrize("kind", ["A2", "B2", "G2", "B3"])
+def test_coinvariant_action_is_a_group_action(kind):
+    group = weyl_group(kind)
+    coinv = coinvariant_algebra(kind)
+    rng = random.Random(7)
+    f = _rand_poly(rng, group.rank, 3)
+    for w in group.elements:
+        assert coinv.act(w, coinv.act(w.inverse(), f)) == f
+    # w0 sends the positive roots to the negative ones.
+    roots = RatPoly.one(group.rank)
+    for t in range(group.datum.num_positive_roots):
+        roots = roots * coinv.root_poly(t)
+    sign = (-1) ** group.datum.num_positive_roots
+    assert coinv.act(group.w0, roots) == sign * roots
+
+
 def test_g2_duality_spot_check():
     group = weyl_group("G2")
     coinv = coinvariant_algebra("G2")

@@ -182,24 +182,57 @@ def matmul(a, b):
     )
 
 
+def simple_matrix(cartan, i):
+    """s_i on fundamental-weight coordinates: lambda - lambda_i alpha_i."""
+    n = len(cartan)
+    return tuple(
+        tuple(int(m == k) - int(k == i - 1) * cartan[m][i - 1] for k in range(n))
+        for m in range(n)
+    )
+
+
+def element_matrices(group):
+    """Each element's matrix, the product of simple matrices along its word."""
+    n, cartan = group.rank, group.datum.cartan
+    out = {}
+    for w in group.elements:
+        m = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+        for i in w.word:
+            m = matmul(m, simple_matrix(cartan, i))
+        out[w] = m
+    return out
+
+
 @pytest.mark.parametrize("kind", ["A3", "B3", "G2", "D4"])
 def test_shift_tables_match_matrix_products(kind):
     group = weyl_group(kind)
-    by_matrix = {w.matrix: w for w in group.elements}
+    matrices = element_matrices(group)
+    by_matrix = {m: w for w, m in matrices.items()}
     assert len(by_matrix) == group.order
-    datum = group.datum
     for i in range(1, group.rank + 1):
-        s = datum.reflections[datum.simple_root_index(i)]
-        for w in group.elements:
-            assert group.right[i - 1][w.index] == by_matrix[matmul(w.matrix, s)].index
-            assert group.left[i - 1][w.index] == by_matrix[matmul(s, w.matrix)].index
+        s = simple_matrix(group.datum.cartan, i)
+        for w, m in matrices.items():
+            assert group.right[i - 1][w.index] == by_matrix[matmul(m, s)].index
+            assert group.left[i - 1][w.index] == by_matrix[matmul(s, m)].index
 
 
 def test_all_products_match_matrix_products(b3):
-    by_matrix = {w.matrix: w for w in b3.elements}
+    matrices = element_matrices(b3)
+    by_matrix = {m: w for w, m in matrices.items()}
+    weights = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3))
     for x in b3.elements:
         for y in b3.elements:
-            assert x * y is by_matrix[matmul(x.matrix, y.matrix)]
+            assert x * y is by_matrix[matmul(matrices[x], matrices[y])]
+        for weight in weights:
+            column = matmul(matrices[x], tuple((c,) for c in weight))
+            assert x.act(weight) == tuple(row[0] for row in column)
+
+
+@pytest.mark.parametrize("kind", ["A3", "B3", "G2", "D4", "F4"])
+def test_inverse_is_the_reversed_word_product(kind):
+    group = weyl_group(kind)
+    for w in group.elements:
+        assert w.inverse() is group.word_elem(reversed(w.word))
 
 
 def test_elements_are_interned(a3):
@@ -218,9 +251,11 @@ def test_enumeration_is_deterministic(kind):
     assert first.left == second.left
 
 
-@pytest.mark.parametrize("kind", ["A1", "A4", "B2", "B4", "C3", "D4", "D5", "F4", "G2"])
+@pytest.mark.parametrize("kind", ["A1", "A4", "B2", "B4", "C3", "D4", "D5", "F4", "G2", "E6"])
 def test_order_formula_matches_enumeration(kind):
-    assert weyl_group_order(kind) == len(weyl_group_of_kind(kind).elements)
+    group = weyl_group_of_kind(kind)
+    assert weyl_group_order(kind) == len(group.elements)
+    assert group.w0.act((1,) * group.rank) == (-1,) * group.rank
 
 
 @pytest.mark.parametrize("kind, order", [
@@ -234,7 +269,6 @@ def test_oversized_groups_are_refused_before_enumeration(kind, order):
 
 
 def test_largest_accepted_groups_are_under_the_cap():
-    # E6, A7 and B6 are enumerated; building them takes seconds, so only
-    # their orders are checked here.
+    # E6, A7 and B6 are the largest groups that are enumerated.
     for kind, order in (("E6", 51_840), ("A7", 40_320), ("B6", 46_080)):
         assert weyl_group_order(kind) == order <= MAX_GROUP_ORDER
