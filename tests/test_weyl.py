@@ -269,6 +269,5 @@ def test_oversized_groups_are_refused_before_enumeration(kind, order):
 
 
 def test_largest_accepted_groups_are_under_the_cap():
-    # E6, A7 and B6 are the largest groups that are enumerated.
     for kind, order in (("E6", 51_840), ("A7", 40_320), ("B6", 46_080)):
         assert weyl_group_order(kind) == order <= MAX_GROUP_ORDER
