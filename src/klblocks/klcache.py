@@ -34,6 +34,8 @@ from .laurent import LaurentPoly
 __all__ = ["save_kl_table", "load_kl_table", "cache_path"]
 
 _MAGIC = b"KLT1"
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
 
 
 def cache_path(directory: str, kind: str) -> str:
@@ -95,12 +97,11 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+    def take(self, layout: struct.Struct):
+        if self.pos + layout.size > len(self.data):
             raise ValueError("truncated cache file")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
+        values = layout.unpack_from(self.data, self.pos)
+        self.pos += layout.size
         return values
 
     def take_bytes(self, n: int) -> bytes:
@@ -144,14 +145,14 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
     kind = group.datum.kind
     records = []
     while not reader.done():
-        (klen,) = reader.take("<B")
+        (klen,) = reader.take(_U8)
         record_kind = reader.take_bytes(klen).decode()
-        (ylen,) = reader.take("<B")
+        (ylen,) = reader.take(_U8)
         yword = reader.take_bytes(ylen)  # iterates as the letters
-        (wlen,) = reader.take("<B")
+        (wlen,) = reader.take(_U8)
         wword = reader.take_bytes(wlen)
-        (ncoeff,) = reader.take("<H")
-        coeffs = reader.take(f"<{ncoeff}q") if ncoeff else ()
+        (ncoeff,) = reader.take(_U16)
+        coeffs = struct.unpack(f"<{ncoeff}q", reader.take_bytes(8 * ncoeff))
         if record_kind != kind:
             continue
         y, w = group.word_elem(yword), group.word_elem(wword)

@@ -274,6 +274,22 @@ class RatPoly:
             self.nvars, {m: c for m, c in t.items() if c}, self._den * den
         )
 
+    def substitute_monomials(self, images: Mapping[Monomial, "RatPoly"]) -> "RatPoly":
+        """The linear map that sends each monomial m to images[m].
+
+        images must hold every monomial present.
+        """
+        den = lcm(*(images[m]._den for m in self._t))
+        t: dict[Monomial, int] = {}
+        for m, c in self._t.items():
+            image = images[m]
+            c *= den // image._den
+            for mi, ci in image._t.items():
+                t[mi] = t.get(mi, 0) + c * ci
+        return RatPoly._normalized(
+            self.nvars, {m: c for m, c in t.items() if c}, self._den * den
+        )
+
     def substitute_single(
         self, j: int, image: "RatPoly", powers: list["RatPoly"] | None = None
     ) -> "RatPoly":

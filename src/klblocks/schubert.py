@@ -9,7 +9,10 @@ the normalized product of the positive roots, and a polynomial f is
 projected to the basis by reading off degree-0 parts of Delta_w(f).
 Each Delta_i is applied in closed form, monomial by monomial, to the
 integer numerators of a polynomial; the representatives are integer
-polynomials over one denominator that divides |W|.
+polynomials over one denominator that divides |W|.  The composition
+check Delta_w Delta_u = Delta_{wu} builds per-degree tables of
+Delta_x on the monomials of each degree, one Delta_i step per entry,
+and reads both sides from them.
 
 Products are computed through polynomial representatives followed by
 projection; the Chevalley rule is a separate route used to
@@ -201,23 +204,78 @@ class CoinvariantAlgebra:
             f = self.demazure_simple(i, f)
         return f
 
-    def demazure_compose_check(self, w: WeylElem, u: WeylElem) -> bool:
-        """Test Delta_w Delta_u = Delta_{wu} (or 0) on spanning monomials."""
-        group = self.group
-        additive = (w * u).length == w.length + u.length
-        top = group.datum.num_positive_roots
+    def _demazure_tables(self, elements: Iterable[WeylElem]):
+        """Per total degree d = 0..l(w0): the monomials of degree d and
+        {x: [Delta_x(m) for each monomial m]}.
+
+        The rows cover the given elements and every element s_i x on
+        their canonical words (i the first letter of x's word), and each
+        entry is the one step Delta_i Delta_{s_i x}(m) that
+        ``demazure(x, m)`` takes there.  A fresh table per degree.
+        """
+        elems, left = self.group.elements, self.group.left
+        rows: set[WeylElem] = set()
+        for x in elements:
+            while x not in rows:
+                rows.add(x)
+                if x.length:
+                    x = elems[left[x.word[0] - 1][x.index]]
+        order = sorted(rows, key=lambda x: (x.length, x.index))
         n = self.nvars
-        for total in range(top + 1):
-            for m in itertools.combinations_with_replacement(range(n), total):
+        for d in range(self.group.w0.length + 1):
+            monomials = []
+            for combo in itertools.combinations_with_replacement(range(n), d):
                 mono = [0] * n
-                for j in m:
+                for j in combo:
                     mono[j] += 1
-                f = RatPoly(n, {tuple(mono): Fraction(1)})
-                lhs = self.demazure(w, self.demazure(u, f))
-                rhs = self.demazure(w * u, f) if additive else RatPoly.zero(n)
-                if lhs != rhs:
-                    return False
-        return True
+                monomials.append(tuple(mono))
+            table: dict[WeylElem, list[RatPoly]] = {}
+            for x in order:
+                if not x.length:
+                    table[x] = [RatPoly(n, {m: 1}) for m in monomials]
+                    continue
+                i = x.word[0]
+                table[x] = [
+                    f if f.is_zero() else self.demazure_simple(i, f)
+                    for f in table[elems[left[i - 1][x.index]]]
+                ]
+            yield monomials, table
+
+    def demazure_compose_check(
+        self, pairs: Iterable[tuple[WeylElem, WeylElem]]
+    ) -> list[tuple[WeylElem, WeylElem]]:
+        """The pairs, in order, where Delta_w Delta_u != Delta_{wu} (or 0).
+
+        Tested on every monomial m of degree 0..l(w0), from the per-degree
+        tables of ``_demazure_tables``.  Delta_w Delta_u(m) follows by
+        linearity from the images under Delta_w of the monomials of
+        Delta_u(m), which have degree at most deg m, so the rows of the
+        outer elements w are kept over the degrees; the rest of each
+        table is dropped before the next degree.
+        """
+        # (w, u, wu), with None for wu when Delta_w Delta_u must be 0
+        triples = []
+        for w, u in pairs:
+            wu = w * u
+            triples.append((w, u, wu if wu.length == w.length + u.length else None))
+        outer: dict[WeylElem, dict[tuple[int, ...], RatPoly]] = {
+            w: {} for w, _, _ in triples
+        }
+        inner = [x for _, u, wu in triples for x in (u, wu) if x is not None]
+        zeros = itertools.repeat(RatPoly.zero(self.nvars))
+        failed = [False] * len(triples)
+        for monomials, table in self._demazure_tables([*outer, *inner]):
+            for w, images in outer.items():
+                images.update(zip(monomials, table[w]))
+            for k, (w, u, wu) in enumerate(triples):
+                if failed[k]:
+                    continue
+                images = outer[w]
+                failed[k] = any(
+                    f.substitute_monomials(images) != g
+                    for f, g in zip(table[u], zeros if wu is None else table[wu])
+                )
+        return [(w, u) for (w, u, _), bad in zip(triples, failed) if bad]
 
     # -- Schubert representatives ------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -167,10 +168,72 @@ def test_cellular_datum(coinv_a2):
     assert degrees == sorted(degrees)
 
 
-def test_demazure_compose_check(coinv_a2, a2):
-    for w in a2.elements:
-        for u in a2.elements:
-            assert coinv_a2.demazure_compose_check(w, u)
+def _monomials_up_to_top(group):
+    n = group.rank
+    for d in range(group.w0.length + 1):
+        for combo in itertools.combinations_with_replacement(range(n), d):
+            mono = [0] * n
+            for j in combo:
+                mono[j] += 1
+            yield RatPoly(n, {tuple(mono): 1})
+
+
+def _composition_failures_word_by_word(coinv, pairs):
+    """Pairs failing Delta_w Delta_u = Delta_{wu} (or 0), each operator
+    applied along its canonical word to each monomial up to degree N."""
+    group = coinv.group
+    zero = RatPoly.zero(group.rank)
+    monomials = list(_monomials_up_to_top(group))
+    failed = []
+    for w, u in pairs:
+        wu = w * u
+        additive = wu.length == w.length + u.length
+        for m in monomials:
+            want = coinv.demazure(wu, m) if additive else zero
+            if coinv.demazure(w, coinv.demazure(u, m)) != want:
+                failed.append((w, u))
+                break
+    return failed
+
+
+def test_demazure_compose_check():
+    for kind in ("A2", "B2", "G2"):
+        group = weyl_group(kind)
+        pairs = [(w, u) for w in group.elements for u in group.elements]
+        assert coinvariant_algebra(kind).demazure_compose_check(pairs) == [], kind
+
+
+@pytest.mark.parametrize("kind, expected", [("A2", 6), ("B2", 14), ("G2", 34)])
+def test_demazure_compose_check_flags_a_broken_operator(monkeypatch, kind, expected):
+    # Delta_1 f -> g + g * w_2 with g the true Delta_1 f.  Scaling Delta_1
+    # by a constant would not do: the rule holds for c * Delta_1 too.
+    true_simple = CoinvariantAlgebra.demazure_simple
+
+    def broken(self, i, f):
+        g = true_simple(self, i, f)
+        return g + g * self.weight_poly(2) if i == 1 else g
+
+    monkeypatch.setattr(CoinvariantAlgebra, "demazure_simple", broken)
+    group = weyl_group(kind)
+    coinv = CoinvariantAlgebra(group)
+    pairs = [(w, u) for w in group.elements for u in group.elements]
+    failed = coinv.demazure_compose_check(pairs)
+    assert len(failed) == expected
+    assert failed == _composition_failures_word_by_word(coinv, pairs)
+
+
+@pytest.mark.parametrize("kind", ["A2", "B2", "G2"])
+def test_demazure_tables_match_demazure(kind):
+    group = weyl_group(kind)
+    coinv = coinvariant_algebra(kind)
+    degrees = 0
+    for monomials, table in coinv._demazure_tables(group.elements):
+        assert set(table) == set(group.elements)
+        for x, row in table.items():
+            assert row == [coinv.demazure(x, RatPoly(group.rank, {m: 1}))
+                           for m in monomials]
+        degrees += 1
+    assert degrees == group.w0.length + 1
 
 
 def test_schubert_elem_arithmetic(coinv_a2, a2):
