@@ -9,6 +9,16 @@ involution sends v to v^-1 and T_w to T_{w^-1}^-1.  In this picture
 with P_{y,w} the classical Kazhdan-Lusztig polynomial in q = v^2, and
 C_s = T_s + v^-1.
 
+multiply and bar work on packed coefficients (LaurentPoly.pack): each
+coefficient becomes one Python int, its value at v = 2^B times a power
+of 2^B, and T-basis arithmetic becomes int arithmetic, which is exact
+for any B.  Only the result must fit: unpack reads it back when every
+output coefficient k has |k| < 2^(B-1).  Right multiplication by T_s,
+or by bar(T_s) = T_s - v + v^-1, at most triples the L1 norm of a
+coefficient vector, so |k| <= M with M = |a|_1 sum_y |b_y|_1 3^l(y)
+for a * b and M = sum_w |a_w|_1 3^l(w) for bar(a); B = bit_length(M) + 1
+then holds every output.
+
 Computed polynomials are cached in a KLTable stored by column, as
 {w: {y: P_{y,w}}}; a table entry for (w, w) marks the whole column of w
 as known, which is what lets a table be reloaded from disk and reused
@@ -89,6 +99,7 @@ class HeckeElem:
         return not self._c
 
     def __add__(self, other: "HeckeElem") -> "HeckeElem":
+        self.algebra._check_group(other)
         c = dict(self._c)
         for w, p in other._c.items():
             _accumulate(c, w, p)
@@ -151,12 +162,19 @@ class HeckeAlgebra:
     def one(self) -> HeckeElem:
         return self.t(self.group.identity)
 
+    def _check_group(self, *operands: HeckeElem) -> None:
+        for a in operands:
+            if a.algebra.group is not self.group:
+                raise ValueError(
+                    f"element of the Hecke algebra of {a.algebra.group.kind} "
+                    f"used in that of {self.group.kind}"
+                )
+
     # -- multiplication ----------------------------------------------
 
-    def _gen_action(self, i: int, coeffs: dict, left: bool) -> dict:
-        """T_{s_i} * coeffs if left, else coeffs * T_{s_i}, in the T basis."""
-        group = self.group
-        shift, elems = (group.left if left else group.right)[i - 1], group.elements
+    def _gen_action(self, i: int, coeffs: dict) -> dict:
+        """T_{s_i} * coeffs, in the T basis."""
+        shift, elems = self.group.left[i - 1], self.group.elements
         out: dict[WeylElem, LaurentPoly] = {}
         for w, p in coeffs.items():
             sw = elems[shift[w.index]]
@@ -166,14 +184,34 @@ class HeckeAlgebra:
         return out
 
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
-        total: dict[WeylElem, LaurentPoly] = {}
-        for y, p in b.items():
-            cur = dict(a._c)
+        """a * b = sum over y of b_y (a T_y), on packed coefficients."""
+        self._check_group(a, b)
+        if a.is_zero() or b.is_zero():
+            return HeckeElem(self, {})
+        bound = _norm(a) * sum(_norm1(p) * 3 ** y.length for y, p in b._c.items())
+        width = bound.bit_length() + 1
+        # Packed, a T_u has no exponent below top - l(u), top = max l(y):
+        # at least 1 before each step, so the division by v is exact.
+        shift_a = max(y.length for y in b._c) + max(0, -_min_exp(a))
+        shift_b = max(0, -_min_exp(b))
+        right = self.group.right
+        start = {w.index: p.pack(shift_a, width) for w, p in a._c.items()}
+        total: dict[int, int] = {}
+        for y, p in b._c.items():
+            cur = start
             for i in y.word:
-                cur = self._gen_action(i, cur, left=False)
-            for w, c in cur.items():
-                _accumulate(total, w, c * p)
-        return HeckeElem(self, total)
+                row, nxt = right[i - 1], {}
+                for x, n in cur.items():
+                    xs = row[x]
+                    nxt[xs] = nxt.get(xs, 0) + n
+                    # Indices ascend with length and l(xs) = l(x) +- 1.
+                    if xs < x:
+                        nxt[x] = nxt.get(x, 0) + (n << width) - (n >> width)
+                cur = nxt
+            m = p.pack(shift_b, width)
+            for x, n in cur.items():
+                total[x] = total.get(x, 0) + n * m
+        return self._unpacked(total, shift_a + shift_b, width)
 
     # -- bar involution ----------------------------------------------
 
@@ -187,18 +225,35 @@ class HeckeAlgebra:
         else:
             i = w.word[0]
             inner = self.bar_t(self.group.simple(i) * w)
-            shifted = HeckeElem(self, self._gen_action(i, inner._c, left=True))
+            shifted = HeckeElem(self, self._gen_action(i, inner._c))
             result = shifted - inner.scale(_V_MINUS_VINV)
         self._bar_t[w] = result
         return result
 
     def bar(self, a: HeckeElem) -> HeckeElem:
-        total: dict[WeylElem, LaurentPoly] = {}
-        for w, p in a.items():
-            pb = p.bar()
+        """bar(a) = sum over w of bar(a_w) bar(T_w), on packed coefficients."""
+        self._check_group(a)
+        if a.is_zero():
+            return HeckeElem(self, {})
+        # bar(T_w) is the product of the l(w) factors bar(T_s) = T_s - v + v^-1
+        # along a word of w, so its exponents are >= -l(w), and each factor
+        # at most triples the L1 norm, as in multiply.
+        bound = sum(_norm1(p) * 3 ** w.length for w, p in a._c.items())
+        width = bound.bit_length() + 1
+        shift_a = max(0, max(p.max_exp() for p in a._c.values()))
+        shift_t = max(w.length for w in a._c)
+        total: dict[int, int] = {}
+        for w, p in a._c.items():
+            m = p.bar().pack(shift_a, width)
             for y, c in self.bar_t(w)._c.items():
-                _accumulate(total, y, pb * c)
-        return HeckeElem(self, total)
+                total[y.index] = total.get(y.index, 0) + m * c.pack(shift_t, width)
+        return self._unpacked(total, shift_a + shift_t, width)
+
+    def _unpacked(self, packed: dict[int, int], shift: int, width: int) -> HeckeElem:
+        elems = self.group.elements
+        return HeckeElem(self, {
+            elems[x]: LaurentPoly.unpack(n, shift, width) for x, n in packed.items() if n
+        })
 
     # -- Kazhdan-Lusztig basis ---------------------------------------
 
@@ -223,7 +278,7 @@ class HeckeAlgebra:
             i = self._pick_descent(w)
             s = self.group.simple(i)
             inner = self.kl_element(s * w)
-            acc = self._gen_action(i, inner._c, left=True)
+            acc = self._gen_action(i, inner._c)
             for y, p in inner._c.items():
                 _accumulate(acc, y, p.shift(-1))
                 m = p.coefficient(-1)
@@ -296,6 +351,19 @@ class HeckeAlgebra:
         """Force computation of C_w for the given (default all) elements."""
         for w in elems if elems is not None else self.group.elements:
             self.kl_element(w)
+
+
+def _norm1(p: LaurentPoly) -> int:
+    return sum(abs(k) for _, k in p.items())
+
+
+def _norm(a: HeckeElem) -> int:
+    """L1 norm of all the coefficients of a."""
+    return sum(_norm1(p) for p in a._c.values())
+
+
+def _min_exp(a: HeckeElem) -> int:
+    return min(p.min_exp() for p in a._c.values())
 
 
 def _accumulate(out: dict, w: WeylElem, p: LaurentPoly) -> None:

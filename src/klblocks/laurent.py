@@ -148,7 +148,50 @@ class LaurentPoly:
         return self._c == o._c
 
     def __hash__(self) -> int:
+        # A constant equals the int it holds, so it must hash like one.
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(self.items())
+
+    # -- Kronecker packing -------------------------------------------
+
+    def pack(self, shift: int, width: int) -> int:
+        """The value at v = 2^width times 2^(width*shift): sum of k*2^(width*(e+shift)).
+
+        Every e + shift must be >= 0.  Sums and products of packed
+        values are the packed sums and products, exactly, whatever the
+        width; unpack reads the result back only if every coefficient
+        k satisfies |k| < 2^(width-1).
+        """
+        return sum(k << width * (e + shift) for e, k in self._c.items())
+
+    @classmethod
+    def unpack(cls, n: int, shift: int, width: int) -> "LaurentPoly":
+        """Inverse of pack, reading balanced digits in [-2^(width-1), 2^(width-1)).
+
+        >>> p = LaurentPoly.parse('-3v^-2+7+v')
+        >>> LaurentPoly.unpack(p.pack(2, 5), 2, 5) == p
+        True
+        """
+        if width < 2:
+            raise ValueError(f"a digit of width {width} has no balanced range")
+        if not n:
+            return cls()
+        low = ((n & -n).bit_length() - 1) // width  # zero digits at the bottom
+        n >>= low * width
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        c: dict[int, int] = {}
+        e = low - shift
+        while n:
+            k = n & mask
+            n >>= width
+            if k >= half:
+                k -= 1 << width
+                n += 1
+            if k:
+                c[e] = k
+            e += 1
+        return cls._normalized(c)
 
     # -- structure ---------------------------------------------------
 

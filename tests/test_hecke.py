@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from klblocks import HeckeAlgebra, KLTable, LaurentPoly, weyl_group
+from klblocks import HeckeAlgebra, KLTable, LaurentPoly, hecke_algebra, weyl_group
 from klblocks.checks import kl_bar_solve
 
 V = LaurentPoly.gen()
@@ -156,3 +158,103 @@ def test_kl_column_completes_a_read_only_column(b3):
         p = hecke.kl_polynomial(y, w)
         assert col.get(y, LaurentPoly.zero()) == p
         assert (y in col) == (not p.is_zero()) == b3.bruhat_leq(y, w)
+
+
+def _reference_multiply(h, a, b):
+    """sum over y of b_y (a T_y), walking y's word on LaurentPoly coefficients."""
+    total = {}
+    for y, p in b.items():
+        cur = dict(a.items())
+        for i in y.word:
+            nxt = {}
+            for x, c in cur.items():
+                xs = x * h.group.simple(i)
+                nxt[xs] = nxt.get(xs, LaurentPoly.zero()) + c
+                if xs.length < x.length:
+                    nxt[x] = nxt.get(x, LaurentPoly.zero()) + c * (V - VINV)
+            cur = nxt
+        for x, c in cur.items():
+            total[x] = total.get(x, LaurentPoly.zero()) + c * p
+    return h.element(total)
+
+
+def _reference_bar(h, a):
+    total = h.element({})
+    for w, p in a.items():
+        total = total + h.bar_t(w).scale(p.bar())
+    return total
+
+
+def _random_element(h, rng, terms, span=4, size=6):
+    return h.element({
+        rng.choice(h.group.elements): LaurentPoly({
+            rng.randint(-span, span): rng.randint(-size, size) for _ in range(3)
+        })
+        for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize("kind", ["A2", "B2", "G2", "A3", "B3"])
+def test_packed_products_match_the_word_walk(kind):
+    h = HeckeAlgebra(weyl_group(kind))
+    rng = random.Random(kind)
+    elements = h.group.elements
+    for _ in range(30):
+        a = _random_element(h, rng, rng.randint(0, 4))
+        b = _random_element(h, rng, rng.randint(0, 4))
+        assert a * b == _reference_multiply(h, a, b)
+        assert h.bar(a) == _reference_bar(h, a)
+        c_x = h.kl_element(rng.choice(elements))
+        c_y = h.kl_element(rng.choice(elements))
+        assert c_x * c_y == _reference_multiply(h, c_x, c_y)
+        assert a * c_y == _reference_multiply(h, a, c_y)
+        assert c_x * b == _reference_multiply(h, c_x, b)
+        assert h.bar(c_x.scale(V) + a) == _reference_bar(h, c_x.scale(V) + a)
+
+
+@pytest.mark.parametrize("kind", ["A2", "G2", "B3"])
+def test_packed_products_with_wide_coefficients(kind):
+    # coefficients past 2^70 and exponents out to +-30 need more than 64
+    # bits a digit
+    h = HeckeAlgebra(weyl_group(kind))
+    rng = random.Random(70)
+    big = 2 ** 70
+    e, w0 = h.group.identity, h.group.w0
+    lone = h.element({w0: LaurentPoly({30: big})})
+    assert lone * h.one == lone
+    assert h.one * lone == lone
+    assert h.bar(h.t(e).scale(LaurentPoly({-30: big}))) == h.one.scale(LaurentPoly({30: big}))
+    assert h.bar(h.t(e).scale(LaurentPoly({30: -big}))) == h.one.scale(LaurentPoly({-30: -big}))
+    for _ in range(6):
+        a = _random_element(h, rng, rng.randint(1, 3), span=30, size=big)
+        b = _random_element(h, rng, rng.randint(1, 3), span=30, size=big)
+        a = a + lone
+        assert a * b == _reference_multiply(h, a, b)
+        assert b * lone == _reference_multiply(h, b, lone)
+        assert h.bar(a) == _reference_bar(h, a)
+
+
+def test_b3_products_are_associative_and_bar_is_multiplicative(hecke_b3, b3):
+    h = hecke_b3
+    rng = random.Random(3)
+    for _ in range(8):
+        a, b, c = (_random_element(h, rng, rng.randint(1, 3)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert h.bar(a * b) == h.bar(a) * h.bar(b)
+        assert h.bar(h.bar(a)) == a
+        c_w = h.kl_element(rng.choice(b3.elements))
+        assert (a * c_w) * b == a * (c_w * b)
+
+
+def test_operands_from_another_group_are_rejected():
+    a2, b2 = hecke_algebra("A2"), hecke_algebra("B2")
+    x = a2.t(a2.group.simple(1))
+    y = b2.t(b2.group.w0)
+    for op in (lambda: x * y, lambda: y * x, lambda: a2.multiply(y, y),
+               lambda: a2.bar(y), lambda: x + y, lambda: y - x):
+        with pytest.raises(ValueError, match="Hecke algebra of"):
+            op()
+    # a second algebra over the same group shares it
+    other = HeckeAlgebra(a2.group, descent_rule="max")
+    assert x * other.t(a2.group.simple(2)) == a2.t(a2.group.word_elem((1, 2)))
+    assert a2.bar(other.kl_element(a2.group.w0)) == a2.kl_element(a2.group.w0)

@@ -116,3 +116,54 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert (a * b).bar() == a.bar() * b.bar()
+
+
+def test_constants_hash_like_the_ints_they_equal():
+    assert LaurentPoly({0: 5}) == 5 and hash(LaurentPoly({0: 5})) == hash(5)
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    assert len({LaurentPoly({0: 5}), 5}) == 1
+    assert len({ONE, 1, ZERO, 0, V}) == 3
+    assert {-7: "x"}[LaurentPoly({0: -7})] == "x"
+
+
+@pytest.mark.parametrize("text", [
+    "0", "1", "-1", "v^-3", "-2+v^4", "5v^-2-3v^2", "-v^-1+v^7", "3-4v^2+v^3",
+])
+def test_pack_unpack_roundtrip(text):
+    p = LaurentPoly.parse(text)
+    for shift in (3, 5, 9):
+        for width in (4, 5, 11, 70):
+            assert LaurentPoly.unpack(p.pack(shift, width), shift, width) == p
+
+
+def test_unpack_reads_balanced_digits_at_the_edges():
+    # a width w holds every coefficient in [-2^(w-1), 2^(w-1))
+    for width in (2, 3, 8, 65):
+        half = 1 << (width - 1)
+        for k in (half - 1, -half, -1, 1):
+            p = LaurentPoly({-2: k, 0: -1, 1: 1, 3: k})
+            assert LaurentPoly.unpack(p.pack(2, width), 2, width) == p
+        too_big = LaurentPoly({1: half})
+        assert LaurentPoly.unpack(too_big.pack(0, width), 0, width) != too_big
+    with pytest.raises(ValueError):
+        LaurentPoly.unpack(1, 0, 1)
+    assert ZERO.pack(4, 9) == 0
+    assert LaurentPoly.unpack(0, 4, 9) == ZERO
+
+
+def test_pack_unpack_roundtrip_random():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = LaurentPoly({
+            rng.randint(-30, 30): rng.randint(-2 ** 80, 2 ** 80)
+            for _ in range(rng.randint(0, 8))
+        })
+        shift = 30 + rng.randint(0, 3)
+        width = max([abs(k) for _, k in p.items()] + [1]).bit_length() + 1
+        assert LaurentPoly.unpack(p.pack(shift, width), shift, width) == p
+        # sums and products of packed values are packed sums and products
+        q = LaurentPoly({rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(3)})
+        wide = width + 12
+        assert LaurentPoly.unpack(
+            p.pack(shift, wide) * q.pack(3, wide), shift + 3, wide
+        ) == p * q
