@@ -309,7 +309,7 @@ def graded_length_report(block: BlockDesc, hecke: HeckeAlgebra) -> list[GradedLe
         raise UnsupportedBlockError("graded length report requires I = empty")
     proj_top = 2 * vp_center(block)
     d = decomposition_matrix(block, hecke)
-    cartan = graded_cartan_matrix(block, hecke)
+    cartan = d.transpose() @ d
     out = []
     for r, x in enumerate(block.index_set):
         verma_deg = max(

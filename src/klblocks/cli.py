@@ -480,10 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"klblocks: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (_UsageError, ValueError, ArithmeticError) as exc:
         print(f"klblocks: error: {exc}", file=sys.stderr)
         return 1
 

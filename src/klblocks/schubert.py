@@ -9,10 +9,18 @@ the normalized product of the positive roots, and a polynomial f is
 projected to the basis by reading off degree-0 parts of Delta_w(f).
 Each Delta_i is applied in closed form, monomial by monomial, to the
 integer numerators of a polynomial; the representatives are integer
-polynomials over one denominator that divides |W|.  The composition
-check Delta_w Delta_u = Delta_{wu} builds per-degree tables of
-Delta_x on the monomials of each degree, one Delta_i step per entry,
-and reads both sides from them.
+polynomials over one denominator that divides |W|.
+
+Delta_x does not depend on the reduced word, so one walk up the left
+weak order serves every caller that needs Delta_x for many x: with i
+the first letter of x's canonical word, Delta_x = Delta_i Delta_{s_i x},
+one Delta_i step per element from the image of s_i x, which comes
+earlier in index order.  The walk lives for one call.  It gives the
+representatives D_w from D, the projection of each degree component
+over the elements of that length, the generators Delta_w(mu_J) over
+W_J, and the per-degree tables of the composition check
+Delta_w Delta_u = Delta_{wu} on monomials.  ``demazure`` applies one
+Delta_x along its word and is the reference the walk is tested against.
 
 Products are computed through polynomial representatives followed by
 projection; the Chevalley rule is a separate route used to
@@ -24,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import rank as matrix_rank
 from .linalg import solve as linear_solve
@@ -200,27 +208,44 @@ class CoinvariantAlgebra:
 
     def demazure(self, w: WeylElem, f: RatPoly) -> RatPoly:
         """Composite along the canonical reduced word of w."""
-        for i in reversed(self.group.reduced_word(w)):
+        for i in reversed(w.word):
             f = self.demazure_simple(i, f)
         return f
 
-    def _demazure_tables(self, elements: Iterable[WeylElem]):
-        """Per total degree d = 0..l(w0): the monomials of degree d and
-        {x: [Delta_x(m) for each monomial m]}.
+    def _demazure_images(
+        self, fs: list[RatPoly], targets: Iterable[WeylElem]
+    ) -> dict[WeylElem, list[RatPoly]]:
+        """{x: [Delta_x(f) for f in fs]} in one walk up the weak order.
 
-        The rows cover the given elements and every element s_i x on
-        their canonical words (i the first letter of x's word), and each
-        entry is the one step Delta_i Delta_{s_i x}(m) that
-        ``demazure(x, m)`` takes there.  A fresh table per degree.
+        The keys are the targets and every element s_i x on their
+        canonical words (i the first letter of x's word).  They are
+        visited in index order, which ascends with length, and each
+        image is the one step Delta_i Delta_{s_i x}(f) that
+        ``demazure(x, f)`` takes there; a zero image passes through.
         """
         elems, left = self.group.elements, self.group.left
         rows: set[WeylElem] = set()
-        for x in elements:
+        for x in targets:
             while x not in rows:
                 rows.add(x)
                 if x.length:
                     x = elems[left[x.word[0] - 1][x.index]]
-        order = sorted(rows, key=lambda x: (x.length, x.index))
+        images: dict[WeylElem, list[RatPoly]] = {}
+        for x in sorted(rows, key=lambda x: x.index):
+            if not x.length:
+                images[x] = list(fs)
+                continue
+            i = x.word[0]
+            images[x] = [
+                f if f.is_zero() else self.demazure_simple(i, f)
+                for f in images[elems[left[i - 1][x.index]]]
+            ]
+        return images
+
+    def _demazure_tables(self, elements: Sequence[WeylElem]):
+        """Per total degree d = 0..l(w0): the monomials of degree d and
+        the images of ``_demazure_images`` on them over the elements.
+        """
         n = self.nvars
         for d in range(self.group.w0.length + 1):
             monomials = []
@@ -229,17 +254,8 @@ class CoinvariantAlgebra:
                 for j in combo:
                     mono[j] += 1
                 monomials.append(tuple(mono))
-            table: dict[WeylElem, list[RatPoly]] = {}
-            for x in order:
-                if not x.length:
-                    table[x] = [RatPoly(n, {m: 1}) for m in monomials]
-                    continue
-                i = x.word[0]
-                table[x] = [
-                    f if f.is_zero() else self.demazure_simple(i, f)
-                    for f in table[elems[left[i - 1][x.index]]]
-                ]
-            yield monomials, table
+            fs = [RatPoly(n, {m: 1}) for m in monomials]
+            yield monomials, self._demazure_images(fs, elements)
 
     def demazure_compose_check(
         self, pairs: Iterable[tuple[WeylElem, WeylElem]]
@@ -280,25 +296,18 @@ class CoinvariantAlgebra:
     # -- Schubert representatives ------------------------------------
 
     def staircase_poly(self) -> RatPoly:
-        """Product of the positive roots over the group order."""
-        top = self._reps.get(self.group.w0)
-        if top is None:
-            f = RatPoly.constant(self.nvars, Fraction(1, self.group.order))
-            for t in range(self.group.datum.num_positive_roots):
-                f = f * self.root_poly(t)
-            self._fill_reps(f)
-            top = f
-        return top
-
-    def _fill_reps(self, top: RatPoly) -> None:
+        """Product of the positive roots over the group order; the first
+        call stores every representative D_w."""
         group = self.group
-        self._reps[group.w0] = top
-        for w in reversed(group.elements):
-            rw = self._reps[w]
-            for i in range(1, group.rank + 1):
-                ws = w * group.simple(i)
-                if ws.length < w.length and ws not in self._reps:
-                    self._reps[ws] = self.demazure_simple(i, rw)
+        top = self._reps.get(group.w0)
+        if top is None:
+            top = RatPoly.constant(self.nvars, Fraction(1, group.order))
+            for t in range(group.datum.num_positive_roots):
+                top = top * self.root_poly(t)
+            images = self._demazure_images([top], group.elements)
+            for w in group.elements:
+                self._reps[w] = images[w.inverse() * group.w0][0]
+        return top
 
     def schubert_rep(self, w: WeylElem) -> RatPoly:
         """The polynomial representing X_w (homogeneous, degree 2 l(w))."""
@@ -318,8 +327,10 @@ class CoinvariantAlgebra:
         """Expand the class of a polynomial over the Schubert basis."""
         coeffs: dict[WeylElem, Fraction] = {}
         for degree, comp in f.graded_components().items():
-            for w in self._length_bucket.get(degree // 2, ()):
-                c = self.demazure(w, comp).constant_term()
+            bucket = self._length_bucket.get(degree // 2, ())
+            images = self._demazure_images([comp], bucket)
+            for w in bucket:
+                c = images[w][0].constant_term()
                 if c:
                     coeffs[w] = c
         return SchubertElem(self, coeffs)
@@ -421,7 +432,8 @@ class CoinvariantAlgebra:
         w_elems = group.parabolic_elements(J)
         w_j = w_elems[-1]
         mu = self.parabolic_root_product(J)
-        gen_polys = [self.demazure(w, mu) for w in w_elems]
+        images = self._demazure_images([mu], w_elems)
+        gen_polys = [images[w][0] for w in w_elems]
         gens = [self.poly_to_schubert(p) for p in gen_polys]
         degrees = []
         for g in gens:

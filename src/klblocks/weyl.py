@@ -190,10 +190,6 @@ class WeylGroup:
             x = self.right[i - 1][x]
         return self.elements[x]
 
-    def reduced_word(self, w: WeylElem) -> tuple[int, ...]:
-        """Canonical reduced word, smallest left descent first."""
-        return w.word
-
     def inverse(self, w: WeylElem) -> WeylElem:
         return self.elements[self._inverse[w.index]]
 

@@ -256,6 +256,15 @@ def test_argparse_errors(capsys):
      "68ac685ac833a67558a4d7a25e8f22a7cc79907050a593017d3ac772646b3c39"),
     (["gram", "--type", "G2", "--format", "table"],
      "8c51c8e5d19a24a2c5477989dac426a5261f68aa933eaebc78185265aba200c5"),
+    # recorded before the Demazure images came from one weak-order walk
+    (["gram", "--type", "A3", "--J", "2", "--format", "csv"],
+     "51fe4b479055a12fb638f1dbb7200f81feed2f8b87a99abf2a226895a7809023"),
+    (["gram", "--type", "C3", "--format", "json"],
+     "cc2fcf7ba7645943271307fc15cec21de09fa3ac69b431a9ed23f81cc12d84bf"),
+    (["schubert", "--type", "G2", "--x", "1,2", "--y", "2,1", "--format", "json"],
+     "cecf84938bd08257cc8c4c67237e98e3486c507f4c5a7f52caeae7bbee315612"),
+    (["schubert", "--type", "D4", "--x", "1,2", "--y", "3,4"],
+     "bcfc832d98d89c54779da072f3c8c87b258fb31e56378cc460432099e1d72190"),
 ])
 def test_schubert_and_gram_bytes_are_stable(capsys, argv, digest):
     assert run(argv) == 0
@@ -271,6 +280,8 @@ def test_schubert_and_gram_bytes_are_stable(capsys, argv, digest):
     ("B2", "ee178c00a61fb71e489cc12e4ef0106b2533c26892660f0e5767dfa836afc8e7"),
     ("G2", "a027716db4e071eedf638ddc8b9faae64560304be19584ac880aaf60159ea388"),
     ("A3", "32e628356bf42144bbe26161e741771aeaacbbbb85e8d32eb2d5499053464aac"),
+    # recorded before the Demazure images came from one weak-order walk
+    ("B3", "17607369f72b4e4f991a8a5fbbbbdfb78ee05a0e924c5d5cddef2b74993cebab"),
 ])
 def test_check_all_bytes_are_stable(capsys, kind, digest):
     assert run(["check-all", "--type", kind]) == 0

@@ -236,6 +236,38 @@ def test_demazure_tables_match_demazure(kind):
     assert degrees == group.w0.length + 1
 
 
+@pytest.mark.parametrize("kind", ["A3", "B3", "G2"])
+def test_schubert_reps_are_demazure_images_of_the_top_class(kind):
+    group = weyl_group(kind)
+    coinv = CoinvariantAlgebra(group)
+    top = coinv.staircase_poly()
+    for w in group.elements:
+        assert coinv.schubert_rep(w) == coinv.demazure(w.inverse() * group.w0, top)
+
+
+def test_projection_takes_one_step_per_element(monkeypatch):
+    # Total exponent 4 on B3: one walk visits each x with 0 < l(x) <= 4
+    # once, 23 steps; Delta_w along each word of length 4 would take 8 * 4.
+    group = weyl_group("B3")
+    coinv = CoinvariantAlgebra(group)
+    w1, w2, w3 = (coinv.weight_poly(i) for i in (1, 2, 3))
+    f = (w1 + 2 * w2 - w3) ** 4 + w1 * w2 * w3 ** 2
+    expected = {w: coinv.demazure(w, f).constant_term()
+                for w in group.elements if w.length == 4}
+    true_simple = CoinvariantAlgebra.demazure_simple
+    steps = []
+
+    def counted(self, i, g):
+        steps.append(i)
+        return true_simple(self, i, g)
+
+    monkeypatch.setattr(CoinvariantAlgebra, "demazure_simple", counted)
+    projected = coinv.poly_to_schubert(f)
+    assert len(steps) <= sum(1 for w in group.elements if 0 < w.length <= 4) == 23
+    assert {w: projected.coefficient(w) for w in expected} == expected
+    assert all(w.length == 4 for w in projected.support())
+
+
 def test_schubert_elem_arithmetic(coinv_a2, a2):
     x1 = coinv_a2.schubert_class(a2.simple(1))
     x2 = coinv_a2.schubert_class(a2.simple(2))
