@@ -417,7 +417,7 @@ def bott_samelson_decomposition(
     shift = None
     identity_ok = False
     if not total.is_zero():
-        candidate = total.min_exp() - 0
+        candidate = total.min_exp()
         if total == target.shift(candidate):
             shift = candidate
             identity_ok = True

@@ -36,7 +36,6 @@ from .blocks import (
     graded_cartan_matrix,
     graded_length_report,
     inverse_decomposition_matrix,
-    make_block,
     parabolic_case_decomposition,
     projective_verma_flag,
     singular_case_decomposition,
@@ -130,6 +129,7 @@ def kl_bar_solve(hecke: HeckeAlgebra, w: WeylElem) -> HeckeElem:
     group = hecke.group
     below = [y for y in group.elements if group.bruhat_leq(y, w)]
     below.sort(key=lambda y: (y.length, y.index), reverse=True)
+    bar_t = {z: hecke.bar_t(z) for z in below}
     coeffs: dict[WeylElem, LaurentPoly] = {w: LaurentPoly.one()}
     for y in below:
         if y is w:
@@ -137,7 +137,7 @@ def kl_bar_solve(hecke: HeckeAlgebra, w: WeylElem) -> HeckeElem:
         known = LaurentPoly.zero()
         for z, a_z in coeffs.items():
             if z is not y:
-                known = known + a_z.bar() * hecke.bar_t(z).coefficient(y)
+                known = known + a_z.bar() * bar_t[z].coefficient(y)
         # a_y - bar(a_y) = known forces a_y = negative-exponent part
         a_y = LaurentPoly({e: c for e, c in known.items() if e < 0})
         if a_y - a_y.bar() != known:
@@ -257,9 +257,7 @@ class _Suite:
         self.coinv = CoinvariantAlgebra(self.group)
         self.rng = random.Random(20240 + len(kind))
         self.subsets = _subset_list(self.group.rank)
-        self.regular = make_block(
-            self.group, (-2,) * self.group.rank, (-2,) * self.group.rank
-        )
+        self.regular = standard_block(self.group, (), ())
         self._dmatrix = None
 
     def regular_dmatrix(self):

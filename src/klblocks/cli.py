@@ -24,7 +24,6 @@ from .blocks import (
     decomposition_matrix,
     graded_cartan_matrix,
     inverse_decomposition_matrix,
-    make_block,
     standard_block,
     translation_composite,
     vp_center,
@@ -218,7 +217,7 @@ def _cmd_kl(args) -> int:
             "kind": group.kind,
             "y": list(y.word),
             "w": list(w.word),
-            "p": [{"exp": e, "coef": c} for e, c in poly.items()],
+            "p": serialize.laurent_json(poly),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -310,7 +309,7 @@ def _cmd_vp_dims(args) -> int:
             "J": sorted(args.J),
             "center": center,
             "dimensions": [
-                {"x": list(x.word), "dim": [{"exp": e, "coef": c} for e, c in vp.items()]}
+                {"x": list(x.word), "dim": serialize.laurent_json(vp)}
                 for x, vp in rows
             ],
         }
@@ -329,7 +328,7 @@ def _cmd_vp_dims(args) -> int:
 def _cmd_bott_samelson(args) -> int:
     group = _group(args)
     hecke = HeckeAlgebra(group)
-    block = make_block(group, (-2,) * group.rank, (-2,) * group.rank)
+    block = standard_block(group, (), ())
     report = bott_samelson_decomposition(block, hecke, _parse_word(args.word))
     if args.format == "json":
         payload = {
@@ -338,7 +337,7 @@ def _cmd_bott_samelson(args) -> int:
             "x": list(report.x.word),
             "shift": report.shift,
             "multiplicities": [
-                {"y": list(y.word), "mult": [{"exp": e, "coef": c} for e, c in m.items()]}
+                {"y": list(y.word), "mult": serialize.laurent_json(m)}
                 for y, m in sorted(
                     report.multiplicities.items(), key=lambda kv: kv[0].index
                 )
@@ -372,7 +371,7 @@ def _cmd_bott_samelson(args) -> int:
 def _cmd_translate(args) -> int:
     group = _group(args)
     hecke = HeckeAlgebra(group)
-    regular = make_block(group, (-2,) * group.rank, (-2,) * group.rank)
+    regular = standard_block(group, (), ())
     wall = standard_block(group, (), sorted(args.J))
     x = _element(group, args.x)
     if x not in wall.index_set:
@@ -389,7 +388,7 @@ def _cmd_translate(args) -> int:
             "J": sorted(args.J),
             "x": list(x.word),
             "composite": [
-                {"y": list(y.word), "coef": [{"exp": e, "coef": c} for e, c in p.items()]}
+                {"y": list(y.word), "coef": serialize.laurent_json(p)}
                 for y, p in ordered
             ],
             "matches_hecke_product": agrees,

@@ -9,15 +9,18 @@ involution sends v to v^-1 and T_w to T_{w^-1}^-1.  In this picture
 with P_{y,w} the classical Kazhdan-Lusztig polynomial in q = v^2, and
 C_s = T_s + v^-1.
 
-multiply and bar work on packed coefficients (LaurentPoly.pack): each
-coefficient becomes one Python int, its value at v = 2^B times a power
-of 2^B, and T-basis arithmetic becomes int arithmetic, which is exact
-for any B.  Only the result must fit: unpack reads it back when every
-output coefficient k has |k| < 2^(B-1).  Right multiplication by T_s,
-or by bar(T_s) = T_s - v + v^-1, at most triples the L1 norm of a
-coefficient vector, so |k| <= M with M = |a|_1 sum_y |b_y|_1 3^l(y)
-for a * b and M = sum_w |a_w|_1 3^l(w) for bar(a); B = bit_length(M) + 1
-then holds every output.
+multiply and bar are one walk on packed coefficients (LaurentPoly.pack):
+each coefficient becomes one Python int, its value at v = 2^B times a
+power of 2^B, exact for any B.  a * b right-multiplies a by T_s along
+the word of each term of b; bar(a) multiplies 1 by T_s^-1 = T_s - v + v^-1
+along the word of each term of a.  Canonical words are suffix-closed
+(u's word is a letter i, then the word of s_i u), so the walk folds all
+terms down one tree of words, one step per node.  Each step at most
+triples the L1 norm, so every output coefficient k has |k| <= M with
+M = |a|_1 sum_y |b_y|_1 3^l(y) for a * b, M = sum_w |a_w|_1 3^l(w) for
+bar(a), and unpack reads it back at B = bit_length(M) + 1.  A shift of
+max l(y) (or max l(w)) keeps every exponent >= 1 before each step, so
+its division by v is exact.
 
 Computed polynomials are cached in a KLTable stored by column, as
 {w: {y: P_{y,w}}}; a table entry for (w, w) marks the whole column of w
@@ -37,10 +40,7 @@ from .weyl import WeylElem, WeylGroup
 
 __all__ = ["HeckeElem", "HeckeAlgebra", "KLTable"]
 
-_V = LaurentPoly.gen()
-_VINV = LaurentPoly.gen(-1)
 _ONE = LaurentPoly.one()
-_V_MINUS_VINV = _V - _VINV
 _EMPTY: Mapping = MappingProxyType({})
 
 
@@ -147,7 +147,6 @@ class HeckeAlgebra:
         self.group = group
         self.descent_rule = descent_rule
         self.kl_table = KLTable(group.kind)
-        self._bar_t: dict[WeylElem, HeckeElem] = {}
         self._c: dict[WeylElem, HeckeElem] = {}
 
     # -- construction ------------------------------------------------
@@ -172,17 +171,6 @@ class HeckeAlgebra:
 
     # -- multiplication ----------------------------------------------
 
-    def _gen_action(self, i: int, coeffs: dict) -> dict:
-        """T_{s_i} * coeffs, in the T basis."""
-        shift, elems = self.group.left[i - 1], self.group.elements
-        out: dict[WeylElem, LaurentPoly] = {}
-        for w, p in coeffs.items():
-            sw = elems[shift[w.index]]
-            _accumulate(out, sw, p)
-            if sw.length < w.length:
-                _accumulate(out, w, p * _V_MINUS_VINV)
-        return out
-
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         """a * b = sum over y of b_y (a T_y), on packed coefficients."""
         self._check_group(a, b)
@@ -190,64 +178,69 @@ class HeckeAlgebra:
             return HeckeElem(self, {})
         bound = _norm(a) * sum(_norm1(p) * 3 ** y.length for y, p in b._c.items())
         width = bound.bit_length() + 1
-        # Packed, a T_u has no exponent below top - l(u), top = max l(y):
-        # at least 1 before each step, so the division by v is exact.
+        # R_u has taken at most top - l(u) steps, top = max l(y): its exponents
+        # are >= l(u) >= 1 before the step out of u.
         shift_a = max(y.length for y in b._c) + max(0, -_min_exp(a))
         shift_b = max(0, -_min_exp(b))
-        right = self.group.right
         start = {w.index: p.pack(shift_a, width) for w, p in a._c.items()}
-        total: dict[int, int] = {}
-        for y, p in b._c.items():
-            cur = start
-            for i in y.word:
-                row, nxt = right[i - 1], {}
-                for x, n in cur.items():
-                    xs = row[x]
-                    nxt[xs] = nxt.get(xs, 0) + n
-                    # Indices ascend with length and l(xs) = l(x) +- 1.
-                    if xs < x:
-                        nxt[x] = nxt.get(x, 0) + (n << width) - (n >> width)
-                cur = nxt
-            m = p.pack(shift_b, width)
-            for x, n in cur.items():
-                total[x] = total.get(x, 0) + n * m
-        return self._unpacked(total, shift_a + shift_b, width)
-
-    # -- bar involution ----------------------------------------------
+        coeffs = {y.index: p.pack(shift_b, width) for y, p in b._c.items()}
+        return self._unpacked(self._walk(start, coeffs, width), shift_a + shift_b, width)
 
     def bar_t(self, w: WeylElem) -> HeckeElem:
         """Image of T_w under the bar involution."""
-        cached = self._bar_t.get(w)
-        if cached is not None:
-            return cached
-        if w.length == 0:
-            result = self.one
-        else:
-            i = w.word[0]
-            inner = self.bar_t(self.group.simple(i) * w)
-            shifted = HeckeElem(self, self._gen_action(i, inner._c))
-            result = shifted - inner.scale(_V_MINUS_VINV)
-        self._bar_t[w] = result
-        return result
+        return self.bar(self.t(w))
 
     def bar(self, a: HeckeElem) -> HeckeElem:
         """bar(a) = sum over w of bar(a_w) bar(T_w), on packed coefficients."""
         self._check_group(a)
         if a.is_zero():
             return HeckeElem(self, {})
-        # bar(T_w) is the product of the l(w) factors bar(T_s) = T_s - v + v^-1
-        # along a word of w, so its exponents are >= -l(w), and each factor
-        # at most triples the L1 norm, as in multiply.
+        # bar(T_w) is the product of the l(w) factors T_s - v + v^-1 along w's
+        # word: its exponents are >= -l(w), and each factor at most triples L1.
         bound = sum(_norm1(p) * 3 ** w.length for w, p in a._c.items())
         width = bound.bit_length() + 1
         shift_a = max(0, max(p.max_exp() for p in a._c.values()))
         shift_t = max(w.length for w in a._c)
-        total: dict[int, int] = {}
-        for w, p in a._c.items():
-            m = p.bar().pack(shift_a, width)
-            for y, c in self.bar_t(w)._c.items():
-                total[y.index] = total.get(y.index, 0) + m * c.pack(shift_t, width)
+        coeffs = {w.index: p.bar().pack(shift_a, width) for w, p in a._c.items()}
+        total = self._walk({0: 1 << width * shift_t}, coeffs, width, inverse=True)
         return self._unpacked(total, shift_a + shift_t, width)
+
+    def _walk(self, start: dict[int, int], coeffs: dict[int, int], width: int,
+              inverse: bool = False) -> dict[int, int]:
+        """Sum over u of coeffs[u] * start * Y_i1 ... Y_ik, packed at width.
+
+        (i1, ..., ik) is u's canonical word; Y_i is T_{s_i}, or T_{s_i}^-1
+        if inverse.  R_u, what is still to be multiplied along u's word, is
+        coeffs[u] * start plus R_x Y_j over the x = s_j u whose first letter
+        is j; R_e is the sum.
+        """
+        left, right, elems = self.group.left, self.group.right, self.group.elements
+        total: dict[int, int] = {}
+        sums = {0: total}
+        for u in coeffs:
+            while u not in sums:
+                sums[u] = {}
+                u = left[elems[u].word[0] - 1][u]
+        # Indices ascend with length, so children come before parents.
+        for u in sorted(sums, reverse=True):
+            cur = sums.pop(u)
+            m = coeffs.get(u)
+            if m:
+                for x, n in start.items():
+                    cur[x] = cur.get(x, 0) + n * m
+            if not u:
+                break
+            i = elems[u].word[0] - 1
+            row, nxt = right[i], sums[left[i][u]]
+            for x, n in cur.items():
+                xs = row[x]
+                nxt[xs] = nxt.get(xs, 0) + n
+                # T_x T_s = T_xs, plus (v - v^-1) T_x when l(xs) < l(x);
+                # T_x T_s^-1 = T_xs, minus (v - v^-1) T_x when l(xs) > l(x).
+                if (xs < x) != inverse:
+                    d = (n << width) - (n >> width)
+                    nxt[x] = nxt.get(x, 0) + (-d if inverse else d)
+        return total
 
     def _unpacked(self, packed: dict[int, int], shift: int, width: int) -> HeckeElem:
         elems = self.group.elements
@@ -276,13 +269,17 @@ class HeckeAlgebra:
             # the y < sw with s y < y; mu(y, sw) is the v^-1 coefficient
             # of T_y in C_{sw}.
             i = self._pick_descent(w)
-            s = self.group.simple(i)
-            inner = self.kl_element(s * w)
-            acc = self._gen_action(i, inner._c)
+            shift, elems = self.group.left[i - 1], self.group.elements
+            inner = self.kl_element(elems[shift[w.index]])
+            acc: dict[WeylElem, LaurentPoly] = {}
             for y, p in inner._c.items():
-                _accumulate(acc, y, p.shift(-1))
+                # (T_s + v^-1) T_y is T_sy + v^-1 T_y, or T_sy + v T_y when sy < y.
+                sy = elems[shift[y.index]]
+                down = sy.length < y.length
+                _accumulate(acc, sy, p)
+                _accumulate(acc, y, p.shift(1 if down else -1))
                 m = p.coefficient(-1)
-                if m and (s * y).length < y.length:
+                if m and down:
                     minus_m = LaurentPoly.term(-m, 0)
                     for z, c in self.kl_element(y)._c.items():
                         _accumulate(acc, z, c * minus_m)

@@ -159,11 +159,11 @@ class CoinvariantAlgebra:
         # _divided[i-1][k] is Delta_i(w_i^k), grown on demand
         self._divided: list[list[RatPoly]] = [[RatPoly.zero(n)] for _ in range(n)]
         self._reps: dict[WeylElem, RatPoly] = {}
-        self._length_bucket: dict[int, tuple[WeylElem, ...]] = {}
-        for w in group.elements:
-            self._length_bucket.setdefault(w.length, ())
-        for w in group.elements:
-            self._length_bucket[w.length] += (w,)
+        # group.elements ascend with length
+        self._length_bucket: dict[int, tuple[WeylElem, ...]] = {
+            length: tuple(bucket)
+            for length, bucket in itertools.groupby(group.elements, key=lambda w: w.length)
+        }
 
     # -- polynomial building blocks ----------------------------------
 

@@ -17,6 +17,7 @@ from .laurent import LaurentPoly
 from .weyl import WeylElem, WeylGroup
 
 __all__ = [
+    "laurent_json",
     "word_label",
     "parse_word_label",
     "matrix_to_table",
@@ -26,6 +27,11 @@ __all__ = [
     "matrix_from_csv",
     "plain_table",
 ]
+
+
+def laurent_json(p: LaurentPoly) -> list[dict[str, int]]:
+    """A Laurent polynomial as JSON-ready {"exp", "coef"} terms, ascending."""
+    return [{"exp": e, "coef": c} for e, c in p.items()]
 
 
 def word_label(w: WeylElem) -> str:
@@ -72,8 +78,7 @@ def matrix_to_json(m: GradedMatrix) -> str:
         "rows": [list(w.word) for w in m.rows],
         "cols": [list(w.word) for w in m.cols],
         "entries": [
-            [[{"exp": e, "coef": c} for e, c in entry.items()] for entry in row]
-            for row in m.entries
+            [laurent_json(entry) for entry in row] for row in m.entries
         ],
     }
     return json.dumps(payload, indent=2)

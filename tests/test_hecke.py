@@ -178,11 +178,44 @@ def _reference_multiply(h, a, b):
     return h.element(total)
 
 
+def _reference_bar_t(h, w):
+    """bar(T_w): the product of the factors T_s - (v - v^-1) along w's word."""
+    total = h.one
+    for i in w.word:
+        factor = h.t(h.group.simple(i)) - h.one.scale(V - VINV)
+        total = _reference_multiply(h, total, factor)
+    return total
+
+
 def _reference_bar(h, a):
     total = h.element({})
     for w, p in a.items():
-        total = total + h.bar_t(w).scale(p.bar())
+        total = total + _reference_bar_t(h, w).scale(p.bar())
     return total
+
+
+@pytest.mark.parametrize("kind", ["B3", "G2"])
+def test_bar_t_is_the_product_of_inverted_generators(kind):
+    h = HeckeAlgebra(weyl_group(kind))
+    for w in h.group.elements:
+        assert h.bar_t(w) == _reference_bar_t(h, w)
+
+
+def test_bar_packs_each_coefficient_once(hecke_b3, b3, monkeypatch):
+    # one walk over the word tree: bar(C_w0) packs its 48 coefficients and
+    # nothing per bar(T_w) term
+    c = hecke_b3.kl_element(b3.w0)
+    calls = []
+    pack = LaurentPoly.pack
+
+    def counted_pack(p, shift, width):
+        calls.append(p)
+        return pack(p, shift, width)
+
+    monkeypatch.setattr(LaurentPoly, "pack", counted_pack)
+    assert hecke_b3.bar(c) == c
+    assert len(c.support()) == 48
+    assert len(calls) == 48
 
 
 def _random_element(h, rng, terms, span=4, size=6):
