@@ -68,9 +68,8 @@ for row in graded_length_report(wall, hecke):
 center = vp_center(wall)
 print()
 print("graded dimensions on the wall, palindromic about", center)
-dmat = decomposition_matrix(wall, hecke)
 for x in wall.index_set:
-    vp = vp_graded_dimension(wall, hecke, x, dmat)
+    vp = vp_graded_dimension(wall, hecke, x)
     word = ".".join(map(str, x.word)) or "e"
     print(f"   x = {word:6s} {vp.render():12s}",
           "palindromic:", vp.is_palindromic(center))

@@ -110,6 +110,9 @@ def make_block(group: WeylGroup, lam: Sequence[int], mu: Sequence[int]) -> Block
 def standard_weight(rank: int, subset: Iterable[int]) -> tuple[int, ...]:
     """The antidominant weight with singularity exactly on the subset."""
     J = frozenset(subset)
+    for i in sorted(J):
+        if not 1 <= i <= rank:
+            raise ValueError(f"simple index {i} out of range 1..{rank}")
     return tuple(-1 if i + 1 in J else -2 for i in range(rank))
 
 
@@ -343,24 +346,25 @@ def vp_center(block: BlockDesc) -> int:
     return group.w0.length - group.parabolic_longest(block.J).length
 
 
-def vp_graded_dimension(
-    block: BlockDesc,
-    hecke: HeckeAlgebra,
-    x: WeylElem,
-    dmatrix: GradedMatrix | None = None,
-) -> LaurentPoly:
+def vp_graded_dimension(block: BlockDesc, hecke: HeckeAlgebra, x: WeylElem) -> LaurentPoly:
     """Graded dimension of the x-weight piece functor value on P(x . lam):
-    the Cartan entry c_{x, e} (I must be empty)."""
+    the Cartan entry c_{x, e} (I must be empty).
+
+    With I empty, d_{z,e} = v^{l(z)} since P_{u,w0} = 1 for every u, so
+    c_{x,e} = sum_z v^{l(z)} d_{z,x} = sum_z v^{2l(z)-l(x)} P_{z w0, x w0}(v^-2)
+    over z in the index set: one weighted read of the KL column of x w0.
+    """
     if block.I:
         raise UnsupportedBlockError("graded dimensions require I = empty")
-    if x not in block.index_set:
+    index = set(block.index_set)
+    if x not in index:
         raise ValueError(f"{x!r} is not in the block index set")
-    d = dmatrix if dmatrix is not None else decomposition_matrix(block, hecke)
-    e_col = d.cols.index(block.group.identity)
-    x_col = d.cols.index(x)
+    w0 = block.group.w0
     total = LaurentPoly.zero()
-    for row in d.entries:
-        total = total + row[e_col] * row[x_col]
+    for u, p in hecke.kl_column(x * w0).items():
+        z = u * w0
+        if z in index:
+            total = total + p.substitute_power(-2).shift(2 * z.length - x.length)
     return total
 
 
@@ -379,10 +383,7 @@ class BSReport:
 
 
 def bott_samelson_decomposition(
-    block: BlockDesc,
-    hecke: HeckeAlgebra,
-    word: Sequence[int],
-    dmatrix: GradedMatrix | None = None,
+    block: BlockDesc, hecke: HeckeAlgebra, word: Sequence[int]
 ) -> BSReport:
     """Indecomposable multiplicities of a Bott-Samelson product.
 
@@ -407,12 +408,10 @@ def bott_samelson_decomposition(
     support_ok = all(group.bruhat_leq(y, x) for y in mults)
     natural_ok = all(m.has_nonnegative_coeffs() for m in mults.values())
 
-    if dmatrix is None:
-        dmatrix = decomposition_matrix(block, hecke)
     w0 = group.w0
     total = LaurentPoly.zero()
     for y, m in mults.items():
-        total = total + m * vp_graded_dimension(block, hecke, y * w0, dmatrix)
+        total = total + m * vp_graded_dimension(block, hecke, y * w0)
     target = (LaurentPoly.one() + LaurentPoly.gen(2)) ** len(word)
     shift = None
     identity_ok = False

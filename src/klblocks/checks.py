@@ -251,19 +251,12 @@ def _pairs(elems: Sequence, rng: random.Random, cap: int) -> tuple[list, str]:
 
 class _Suite:
     def __init__(self, kind: str):
-        self.kind = kind
         self.group = weyl_group_of_kind(kind)
         self.hecke = HeckeAlgebra(self.group)
         self.coinv = CoinvariantAlgebra(self.group)
-        self.rng = random.Random(20240 + len(kind))
+        self.rng = random.Random(20240 + len(self.group.kind))
         self.subsets = _subset_list(self.group.rank)
         self.regular = standard_block(self.group, (), ())
-        self._dmatrix = None
-
-    def regular_dmatrix(self):
-        if self._dmatrix is None:
-            self._dmatrix = decomposition_matrix(self.regular, self.hecke)
-        return self._dmatrix
 
     def quiet_block(self, I, J):
         """Block for a subset pair; empty index sets are expected here."""
@@ -861,10 +854,9 @@ class _Suite:
         h = self.hecke
         for J in self.subsets:
             block = standard_block(group, (), J)
-            d = decomposition_matrix(block, h)
             center = vp_center(block)
             for x in block.index_set:
-                vp = vp_graded_dimension(block, h, x, d)
+                vp = vp_graded_dimension(block, h, x)
                 if not vp.is_palindromic(center):
                     raise _Fail(f"J={sorted(J)} x={x!r}")
         return f"{len(self.subsets)} blocks"
@@ -873,9 +865,8 @@ class _Suite:
     def check_bott_samelson(self) -> str:
         group = self.group
         h = self.hecke
-        d = self.regular_dmatrix()
         for x in group.elements:
-            report = bott_samelson_decomposition(self.regular, h, x.word, d)
+            report = bott_samelson_decomposition(self.regular, h, x.word)
             if not (report.dimension_identity_ok and report.top_multiplicity_ok
                     and report.support_ok and report.natural_coeffs_ok):
                 raise _Fail(f"{x!r}")
@@ -917,7 +908,7 @@ class _Suite:
     @_check("matrix serialization round-trip")
     def check_serialization(self) -> str:
         group = self.group
-        d = self.regular_dmatrix()
+        d = decomposition_matrix(self.regular, self.hecke)
         via_json = serialize.matrix_from_json(serialize.matrix_to_json(d), group)
         via_csv = serialize.matrix_from_csv(serialize.matrix_to_csv(d), group)
         if via_json != d or via_csv != d:
@@ -932,7 +923,7 @@ class _Suite:
         h = self.hecke
         h.kl_basis_elements()
         with tempfile.TemporaryDirectory() as directory:
-            path = klcache.cache_path(directory, self.kind)
+            path = klcache.cache_path(directory, group.kind)
             wrote = klcache.save_kl_table(h.kl_table, path)
             fresh = HeckeAlgebra(group)
             read = klcache.load_kl_table(path, fresh)

@@ -92,8 +92,6 @@ def _group(args) -> WeylGroup:
 
 
 def _print_matrix(matrix, args) -> None:
-    if args.eval_v is not None and args.format == "csv":
-        raise _UsageError("--eval-v is not available with --format csv")
     if args.format == "json":
         text = matrix_to_json(matrix)
         if args.eval_v is not None:
@@ -284,6 +282,10 @@ def _cmd_gram(args) -> int:
 def _matrix_command(builder):
     """Handler printing the matrix ``builder`` makes for the chosen block."""
     def handler(args) -> int:
+        if args.eval_v is not None and args.format == "csv":
+            raise _UsageError("--eval-v is not available with --format csv")
+        if args.eval_v == 0:
+            raise _UsageError("--eval-v 0: Laurent polynomials cannot be evaluated at v = 0")
         group = _group(args)
         hecke = HeckeAlgebra(group)
         _print_matrix(builder(_block(args, group), hecke), args)
@@ -297,12 +299,8 @@ def _cmd_vp_dims(args) -> int:
     if args.I:
         raise _UsageError("graded dimensions require I empty")
     block = _block(args, group)
-    d = decomposition_matrix(block, hecke)
     center = vp_center(block)
-    rows = []
-    for x in block.index_set:
-        vp = vp_graded_dimension(block, hecke, x, d)
-        rows.append((x, vp))
+    rows = [(x, vp_graded_dimension(block, hecke, x)) for x in block.index_set]
     if args.format == "json":
         payload = {
             "kind": group.kind,

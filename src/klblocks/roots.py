@@ -162,6 +162,7 @@ class RootDatum:
 def build_root_system(kind: str) -> RootDatum:
     """Construct the positive roots of a type by reflection closure."""
     family, n = parse_kind(kind)
+    kind = f"{family}{n}"
     cartan = cartan_matrix(kind)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     frontier = []

@@ -226,9 +226,8 @@ def test_criterion_09_palindromic_dimensions(criterion):
                 block = standard_block(group, (), J)
                 w_wall = group.parabolic_longest(J) if J else group.identity
                 center = group.w0.length - w_wall.length
-                d = decomposition_matrix(block, hecke)
                 for x in block.index_set:
-                    vp = vp_graded_dimension(block, hecke, x, d)
+                    vp = vp_graded_dimension(block, hecke, x)
                     assert vp.is_palindromic(center)
 
 

@@ -29,6 +29,7 @@ from klblocks import (
     vp_graded_dimension,
     weyl_group,
 )
+from klblocks import blocks
 from klblocks.blocks import _column_sums
 from klblocks.cli import main
 from klblocks.hecke import HeckeAlgebra
@@ -54,6 +55,16 @@ def entries_of(matrix):
 def test_standard_weight():
     assert standard_weight(3, ()) == (-2, -2, -2)
     assert standard_weight(3, (1, 3)) == (-1, -2, -1)
+
+
+@pytest.mark.parametrize("parabolic, singular, bad", [
+    ((), (5,), 5), ((0,), (), 0), ((), (1, 3), 3),
+])
+def test_standard_weight_rejects_out_of_range_indices(a2, parabolic, singular, bad):
+    with pytest.raises(ValueError, match=f"simple index {bad} out of range 1..2"):
+        standard_weight(2, (*parabolic, *singular))
+    with pytest.raises(ValueError, match=f"simple index {bad} "):
+        standard_block(a2, parabolic, singular)
 
 
 def test_make_block_validation(a2):
@@ -358,3 +369,37 @@ def test_column_sums_reject_a_doubly_entered_source(b3, hecke_b3):
     s = b3.simple(1)
     with pytest.raises(ArithmeticError, match="two coset factorizations"):
         list(_column_sums(hecke_b3, [s], [(s, 0, 0), (s, 0, 1)]))
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_vp_dimension_is_the_cartan_entry_at_e(kind):
+    group = weyl_group(kind)
+    hecke = hecke_algebra(kind)
+    for J in all_subsets(group.rank):
+        block = standard_block(group, (), J)
+        d = decomposition_matrix(block, hecke)
+        cartan = dense_product(d.transpose(), d)
+        e = block.index_set.index(group.identity)
+        for r, x in enumerate(block.index_set):
+            assert vp_graded_dimension(block, hecke, x) == cartan[r][e]
+
+
+def test_graded_dimensions_build_no_decomposition_matrix(b3, hecke_b3, monkeypatch):
+    calls = []
+    real = blocks.decomposition_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocks, "decomposition_matrix", counting)
+    for J in all_subsets(3):
+        block = standard_block(b3, (), J)
+        for x in block.index_set:
+            vp_graded_dimension(block, hecke_b3, x)
+    regular = standard_block(b3, (), ())
+    for x in b3.elements:
+        assert bott_samelson_decomposition(regular, hecke_b3, x.word).dimension_identity_ok
+    assert calls == []
+    graded_cartan_matrix(regular, hecke_b3)
+    assert len(calls) == 1

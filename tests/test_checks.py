@@ -32,6 +32,10 @@ def test_large_group_check_is_skipped_not_passed(kind, check):
     assert result.line().startswith("skip ")
 
 
+def test_suite_seeds_from_the_canonical_type():
+    assert _Suite(" a2").rng.getstate() == _Suite("A2").rng.getstate()
+
+
 def test_bar_solve_oracle_matches_recursion(a2):
     hecke = HeckeAlgebra(a2)
     for w in a2.elements:

@@ -231,6 +231,27 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["decomp", "cartan", "inverse-decomp"])
+def test_eval_at_zero_is_rejected_before_any_output(capsys, monkeypatch, command, fmt):
+    def refuse(*args):
+        raise AssertionError("built a block for --eval-v 0")
+
+    monkeypatch.setattr("klblocks.cli.standard_block", refuse)
+    assert run([command, "--type", "A2", "--eval-v", "0", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("klblocks: error: --eval-v 0: Laurent polynomials cannot be "
+                   "evaluated at v = 0\n")
+
+
+def test_type_strings_print_canonically(capsys):
+    assert run(["weyl", "--type", "a2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "A2: all elements (6)"
+    assert run(["root-system", "--type", " b2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "B2"
+
+
 def test_non_reduced_words_rejected(capsys):
     assert run(["kl", "--type", "A1", "--y", "1", "--w", "1,1"]) == 1
     assert "'1,1' is not a reduced word in A1" in capsys.readouterr().err

@@ -68,6 +68,13 @@ def test_kind_filtering(tmp_path):
     assert load_kl_table(path, other) == 3
 
 
+def test_table_of_a_lowercase_type_loads_into_the_canonical_one(tmp_path):
+    lower = HeckeAlgebra(weyl_group("a2"))
+    path = cache_path(tmp_path, "a2")
+    assert save_kl_table(full_table(lower), path) == 19
+    assert load_kl_table(path, HeckeAlgebra(weyl_group("A2"))) == 19
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.klt"
     path.write_bytes(b"XXXX" + b"\x00" * 16)

@@ -13,6 +13,12 @@ def test_parse_kind():
             parse_kind(bad)
 
 
+def test_root_system_kind_is_canonical():
+    for raw in ("a2", " A2", "a2 "):
+        assert build_root_system(raw).kind == "A2"
+    assert weyl_group("g2 ").kind == "G2"
+
+
 def test_cartan_matrices():
     assert cartan_matrix("A2") == ((2, -1), (-1, 2))
     assert cartan_matrix("G2") == ((2, -3), (-1, 2))
