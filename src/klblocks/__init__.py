@@ -16,7 +16,7 @@ blocks, with every result cross-validated along an independent route.
 from __future__ import annotations
 
 import importlib
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -78,7 +78,25 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
 
-@lru_cache(maxsize=None)
+def _shared(build):
+    """Cache build per type, keyed on the canonical type string.
+
+    'a2' and ' A2' then give the same object as 'A2', whose elements
+    interoperate with those of every other shared structure of A2.
+    """
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def shared(kind: str):
+        from .roots import parse_kind
+
+        family, n = parse_kind(kind)
+        return cached(f"{family}{n}")
+
+    return shared
+
+
+@_shared
 def weyl_group(kind: str) -> WeylGroup:
     """Shared Weyl group instance for a type string like 'B3'."""
     from .weyl import weyl_group_of_kind
@@ -86,7 +104,7 @@ def weyl_group(kind: str) -> WeylGroup:
     return weyl_group_of_kind(kind)
 
 
-@lru_cache(maxsize=None)
+@_shared
 def hecke_algebra(kind: str) -> HeckeAlgebra:
     """Shared Hecke algebra over the shared group of this type."""
     from .hecke import HeckeAlgebra
@@ -94,7 +112,7 @@ def hecke_algebra(kind: str) -> HeckeAlgebra:
     return HeckeAlgebra(weyl_group(kind))
 
 
-@lru_cache(maxsize=None)
+@_shared
 def coinvariant_algebra(kind: str) -> CoinvariantAlgebra:
     """Shared coinvariant algebra over the shared group of this type."""
     from .schubert import CoinvariantAlgebra

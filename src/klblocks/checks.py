@@ -124,7 +124,7 @@ def kl_bar_solve(hecke: HeckeAlgebra, w: WeylElem) -> HeckeElem:
 
     Solves a = bar(a) with unit leading coefficient and strictly negative
     exponents below, by descending triangular elimination.  Independent of
-    the multiplication recursion used by ``kl_element``.
+    the column recursion in q behind ``kl_column``; reads no KL table.
     """
     group = hecke.group
     below = [y for y in group.elements if group.bruhat_leq(y, w)]

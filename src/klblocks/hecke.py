@@ -22,10 +22,11 @@ bar(a), and unpack reads it back at B = bit_length(M) + 1.  A shift of
 max l(y) (or max l(w)) keeps every exponent >= 1 before each step, so
 its division by v is exact.
 
-Computed polynomials are cached in a KLTable stored by column, as
-{w: {y: P_{y,w}}}; a table entry for (w, w) marks the whole column of w
-as known, which is what lets a table be reloaded from disk and reused
-without recursion.
+The KLTable is the only store of KL data: columns {w: {y: P_{y,w}}} in
+q = v^2.  The C_w recursion runs on those columns in q, and C_w is read
+off the column of w when asked for; nothing keeps C_w itself.  A table
+entry for (w, w) marks the whole column of w as known, which is what
+lets a table be reloaded from disk and reused without recursion.
 Tables are safe to share across threads only because entries are
 deterministic; confine a table to one thread if that bothers you.
 """
@@ -45,7 +46,7 @@ _EMPTY: Mapping = MappingProxyType({})
 
 
 class KLTable:
-    """Cache of Kazhdan-Lusztig polynomials, stored in the variable q."""
+    """The store of Kazhdan-Lusztig polynomials P_{y,w}, by column, in q."""
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -134,7 +135,7 @@ class HeckeElem:
 
 
 class HeckeAlgebra:
-    """Hecke algebra of a Weyl group with memoized KL data.
+    """Hecke algebra of a Weyl group, with its KL columns in kl_table.
 
     descent_rule picks which left descent drives the C_w recursion
     ("min" or "max"); the resulting basis is the same either way,
@@ -147,7 +148,6 @@ class HeckeAlgebra:
         self.group = group
         self.descent_rule = descent_rule
         self.kl_table = KLTable(group.kind)
-        self._c: dict[WeylElem, HeckeElem] = {}
 
     # -- construction ------------------------------------------------
 
@@ -255,60 +255,47 @@ class HeckeAlgebra:
         return descents[0] if self.descent_rule == "min" else descents[-1]
 
     def kl_element(self, w: WeylElem) -> HeckeElem:
-        """The self-dual basis element C_w."""
-        cached = self._c.get(w)
-        if cached is not None:
-            return cached
-        if self.kl_table.column_complete(w):
-            result = self._rebuild_from_table(w)
-        elif w.length == 0:
-            result = self.one
-            self.kl_table.put(w, w, LaurentPoly.one())
-        else:
-            # C_w = T_s C_{sw} + v^-1 C_{sw} - sum of mu(y, sw) C_y over
-            # the y < sw with s y < y; mu(y, sw) is the v^-1 coefficient
-            # of T_y in C_{sw}.
-            i = self._pick_descent(w)
-            shift, elems = self.group.left[i - 1], self.group.elements
-            inner = self.kl_element(elems[shift[w.index]])
-            acc: dict[WeylElem, LaurentPoly] = {}
-            for y, p in inner._c.items():
-                # (T_s + v^-1) T_y is T_sy + v^-1 T_y, or T_sy + v T_y when sy < y.
-                sy = elems[shift[y.index]]
-                down = sy.length < y.length
-                _accumulate(acc, sy, p)
-                _accumulate(acc, y, p.shift(1 if down else -1))
-                m = p.coefficient(-1)
-                if m and down:
-                    minus_m = LaurentPoly.term(-m, 0)
-                    for z, c in self.kl_element(y)._c.items():
-                        _accumulate(acc, z, c * minus_m)
-            result = HeckeElem(self, acc)
-            self._store_column(w, result)
-        self._c[w] = result
-        return result
-
-    def _store_column(self, w: WeylElem, c: HeckeElem) -> None:
-        """Record C_w in the table, checking the shape of every coefficient."""
-        if c.coefficient(w) != _ONE:
-            raise ArithmeticError(f"C_{w!r} is not unitriangular")
-        for y, p in c._c.items():
-            terms = [(e + w.length - y.length, k) for e, k in p.items()]
-            if any(e % 2 for e, _ in terms):
-                raise ArithmeticError(f"odd exponent in KL coefficient for ({y!r}, {w!r})")
-            self.kl_table.put(y, w, LaurentPoly({e // 2: k for e, k in terms}))
-
-    def _rebuild_from_table(self, w: WeylElem) -> HeckeElem:
-        coeffs = {}
-        for y, p in self.kl_table.column(w).items():
-            coeffs[y] = LaurentPoly(
-                {2 * e + y.length - w.length: k for e, k in p.items()}
-            )
-        return HeckeElem(self, coeffs)
+        """The self-dual basis element C_w, read off the KL column of w."""
+        return HeckeElem(self, {
+            y: LaurentPoly({2 * e + y.length - w.length: k for e, k in p.items()})
+            for y, p in self.kl_column(w).items()
+        })
 
     def _complete_column(self, w: WeylElem) -> None:
-        if not self.kl_table.column_complete(w):
-            self.kl_element(w)
+        """Compute the column {y: P_{y,w}} into the table, in q.
+
+        With s a left descent of w and v = sw, C_w = (T_s + v^-1) C_v minus
+        mu(y, v) C_y over the y < v with sy < y (Kazhdan-Lusztig 1979,
+        (2.2.c)): P_{y,v} adds to P_{sy,w} and to P_{y,w}, times q when
+        sy < y, and mu(y, v) q^((l(w) - l(y))/2) P_{z,y} is taken from P_{z,w}.
+        """
+        table = self.kl_table
+        if table.column_complete(w):
+            return
+        if w.length == 0:
+            table.put(w, w, _ONE)
+            return
+        shift, elems = self.group.left[self._pick_descent(w) - 1], self.group.elements
+        v = elems[shift[w.index]]
+        acc: dict[WeylElem, LaurentPoly] = {}
+        for y, p in self.kl_column(v).items():
+            sy = elems[shift[y.index]]
+            down = sy.length < y.length
+            qp = p.shift(1) if down else p
+            _accumulate(acc, sy, qp)
+            _accumulate(acc, y, qp)
+            # mu(y, v) is the q^((l(v) - l(y) - 1)/2) coefficient of P_{y,v}.
+            gap = v.length - y.length
+            m = p.coefficient((gap - 1) // 2) if down and gap % 2 else 0
+            if m:
+                minus_m = LaurentPoly.term(-m, (gap + 1) // 2)
+                for z, c in self.kl_column(y).items():
+                    _accumulate(acc, z, c * minus_m)
+        if acc.get(w) != _ONE:
+            raise ArithmeticError(f"C_{w!r} is not unitriangular")
+        for y, p in acc.items():
+            if not p.is_zero():
+                table.put(y, w, p)
 
     def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
         """P_{y,w} as a polynomial in q; zero when y is not below w."""
@@ -345,9 +332,9 @@ class HeckeAlgebra:
         return out
 
     def kl_basis_elements(self, elems: Iterable[WeylElem] | None = None) -> None:
-        """Force computation of C_w for the given (default all) elements."""
+        """Complete the KL column of each given (default every) element."""
         for w in elems if elems is not None else self.group.elements:
-            self.kl_element(w)
+            self._complete_column(w)
 
 
 def _norm1(p: LaurentPoly) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from klblocks import HeckeAlgebra, divide_by_linear, run_all_checks
+from klblocks import HeckeAlgebra, divide_by_linear, run_all_checks, weyl_group
 from klblocks.checks import (
     _CATALOGUE,
     CheckResult,
@@ -36,9 +36,11 @@ def test_suite_seeds_from_the_canonical_type():
     assert _Suite(" a2").rng.getstate() == _Suite("A2").rng.getstate()
 
 
-def test_bar_solve_oracle_matches_recursion(a2):
-    hecke = HeckeAlgebra(a2)
-    for w in a2.elements:
+@pytest.mark.parametrize("kind", ["A2", "G2", "A3", "B3"])
+def test_bar_solve_oracle_matches_recursion(kind):
+    group = weyl_group(kind)
+    hecke = HeckeAlgebra(group)
+    for w in group.elements:
         assert kl_bar_solve(hecke, w) == hecke.kl_element(w)
 
 

@@ -133,15 +133,14 @@ def test_degree_bound(hecke_b3, b3):
         assert (p.max_exp() or 0) <= bound
 
 
-def test_store_column_rejects_bad_columns(a2):
+def test_recursion_rejects_a_column_that_is_not_unitriangular(a2):
     hecke = HeckeAlgebra(a2)
-    w = a2.simple(1)
-    # leading coefficient 2 instead of 1
+    e = a2.identity
+    # A complete column of e with P_{e,e} = 2 gives P_{s,s} = 2.
+    hecke.kl_table.put(e, e, ONE + ONE)
     with pytest.raises(ArithmeticError, match="unitriangular"):
-        hecke._store_column(w, hecke.element({w: ONE + ONE}))
-    # v^0 on T_e would make P_{e,s} = q^(1/2): an odd power of v
-    with pytest.raises(ArithmeticError, match="odd exponent"):
-        hecke._store_column(w, hecke.element({w: ONE, a2.identity: ONE}))
+        hecke.kl_column(a2.simple(1))
+    assert not hecke.kl_table.column_complete(a2.simple(1))
 
 
 def test_kl_column_completes_a_read_only_column(b3):

@@ -22,6 +22,13 @@ def test_export_is_the_object_defined_in_its_submodule(name):
     assert obj.__module__ == module.__name__
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_share_one_object_per_type(name):
+    build = getattr(klblocks, name)
+    assert build("a2") is build("A2") is build(" A2 ")
+    assert build("b3") is not build("A2")
+
+
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from klblocks import *", namespace)
