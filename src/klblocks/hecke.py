@@ -279,10 +279,10 @@ class HeckeAlgebra:
         v = elems[shift[w.index]]
         acc: dict[WeylElem, LaurentPoly] = {}
         for y, p in self.kl_column(v).items():
-            sy = elems[shift[y.index]]
-            down = sy.length < y.length
+            sy = shift[y.index]
+            down = sy < y.index
             qp = p.shift(1) if down else p
-            _accumulate(acc, sy, qp)
+            _accumulate(acc, elems[sy], qp)
             _accumulate(acc, y, qp)
             # mu(y, v) is the q^((l(v) - l(y) - 1)/2) coefficient of P_{y,v}.
             gap = v.length - y.length
@@ -308,20 +308,22 @@ class HeckeAlgebra:
         return self.kl_table.column(w)
 
     def mu(self, y: WeylElem, w: WeylElem) -> int:
-        """Top-degree coefficient of P_{y,w}; needs y < w strictly."""
-        if y.length >= w.length or not self.group.bruhat_leq(y, w):
+        """Top-degree coefficient of P_{y,w}; needs y < w strictly.
+
+        The column of w holds P_{y,w} for exactly the y <= w, so a zero
+        P_{y,w} says y is not below w.
+        """
+        if y.length >= w.length or (p := self.kl_polynomial(y, w)).is_zero():
             raise ValueError("mu requires y strictly below w in Bruhat order")
         gap = w.length - y.length
-        if gap % 2 == 0:
-            return 0
-        return self.kl_polynomial(y, w).coefficient((gap - 1) // 2)
+        return p.coefficient((gap - 1) // 2) if gap % 2 else 0
 
     def expand_in_kl_basis(self, a: HeckeElem) -> dict[WeylElem, LaurentPoly]:
         """Coefficients of a in the C basis, by triangular elimination."""
         rest = dict(a._c)
         out: dict[WeylElem, LaurentPoly] = {}
         while rest:
-            w = max(rest, key=lambda u: (u.length, u.index))
+            w = max(rest, key=lambda u: u.index)
             m = rest[w]
             out[w] = m
             cw = self.kl_element(w)

@@ -9,8 +9,9 @@ used without re-running the recursion for that column.
 Loading is all or nothing: every record of the requested type is decoded
 and validated before any is stored, so a file that fails leaves the
 caller's table as it was.  A record is rejected with ``ValueError`` unless
-both words are reduced, ``P_{w,w} = 1``, and for ``y != w`` both
-``l(y) < l(w)`` and ``2 deg P <= l(w) - l(y) - 1`` hold.
+both words are reduced, ``P_{w,w} = 1``, and for ``y != w`` all of
+``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1`` and ``P_{y,w}(0) = 1``
+hold.  Whether ``y <= w`` in Bruhat order is not checked.
 
 Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
@@ -125,6 +126,8 @@ def _record_problem(y, w, ylen: int, wlen: int, coeffs, terms) -> str:
         return "l(y) >= l(w)"
     if 2 * max(terms, default=0) > w.length - y.length - 1:
         return "degree of P_{y,w} too high"
+    if coeffs[:1] != (1,):
+        return "constant term of P_{y,w} is not 1"
     return ""
 
 

@@ -369,8 +369,7 @@ class CoinvariantAlgebra:
             raise NotInParabolicError(
                 f"element is not supported on the minimal coset representatives of {sorted(J)}"
             )
-        d_j = self.group.w0 * self.group.parabolic_longest(J).inverse() \
-            if J else self.group.w0
+        d_j = self.group.w0 * self.group.parabolic_longest(J).inverse()
         return a.coefficient(d_j)
 
     def gram_matrix(
@@ -458,7 +457,7 @@ class CoinvariantAlgebra:
 
         duals = []
         for u in w_elems:
-            bucket = [z for z in group.elements if z.length == u.length]
+            bucket = self._length_bucket[u.length]
             rows = []
             rhs = []
             for w, p in zip(w_elems, gen_polys):

@@ -9,10 +9,16 @@ element carries a matrix.  The search records, per simple reflection
 s_i, the tables ``left[i - 1][x] = index of s_i w_x`` and
 ``right[i - 1][x] = index of w_x s_i``, after the per-generator shift
 tables of du Cloux's Coxeter program, and a table of inverses.
-Products, reduced words, descents and the Bruhat order read these
-tables; the actions on weights apply simple reflections along a word.
-Each element is interned: there is one object per group element,
-equality is identity and the hash is the canonical index.
+Products and reduced words read these tables; the actions on weights
+apply simple reflections along a word.  Each element is interned:
+there is one object per group element, equality is identity and the
+hash is the canonical index.
+
+Indices ascend with length and l(s_i w) = l(w) +- 1, so s_i w < w
+exactly when ``left[i - 1][w.index] < w.index`` (``right`` for w s_i):
+descents, coset representatives, double quotients and coset
+factorizations are that one comparison.  The Bruhat order is Deodhar's
+property Z, a loop of at most l(y) steps (see ``bruhat_leq``).
 
 Reduced words use 1-based simple indices and are computed by stripping
 the smallest left descent, the first negative coordinate of w(rho),
@@ -29,6 +35,9 @@ from typing import Iterable, Sequence
 from .roots import RootDatum, Weight, build_root_system, parse_kind
 
 __all__ = ["NotCanonicalError", "WeylElem", "WeylGroup"]
+
+# WeylGroup.left or .right: row i - 1 is the shift table of s_i
+_Table = tuple[tuple[int, ...], ...]
 
 # Largest |W| that weyl_group_of_kind enumerates.  E6 (51 840 elements)
 # builds in about 2 s and 60 MB; E7, E8, A8, B7, C7 and D7 are refused
@@ -103,7 +112,6 @@ class WeylGroup:
         self.rank = n = datum.rank
         # _alpha[i] is alpha_{i+1} in fundamental-weight coordinates
         self._alpha = tuple(tuple(row[i] for row in datum.cartan) for i in range(n))
-        self._bruhat: dict[tuple[int, int], bool] = {}
 
         # Breadth-first search over the orbit of rho: the point w(rho)
         # names w, its search position is a temporary name and its
@@ -140,10 +148,10 @@ class WeylGroup:
 
         order = sorted(range(len(points)), key=lambda p: (depth[p], words[p]))
         rank_of = {pos: k for k, pos in enumerate(order)}
-        self.right: tuple[tuple[int, ...], ...] = tuple(
+        self.right: _Table = tuple(
             tuple(rank_of[row[pos]] for pos in order) for row in right
         )
-        self.left: tuple[tuple[int, ...], ...] = tuple(
+        self.left: _Table = tuple(
             tuple(rank_of[row[pos]] for pos in order) for row in left
         )
         self._inverse = tuple(rank_of[inverse[pos]] for pos in order)
@@ -195,32 +203,32 @@ class WeylGroup:
 
     # -- descents and Bruhat order -----------------------------------
 
+    def _descents(self, table: _Table, w: WeylElem) -> tuple[int, ...]:
+        """The i with s_i w < w (table left) or w s_i < w (table right)."""
+        x = w.index
+        return tuple(i for i, row in enumerate(table, 1) if row[x] < x)
+
     def left_descents(self, w: WeylElem) -> tuple[int, ...]:
-        elems, x = self.elements, w.index
-        return tuple(
-            i + 1 for i, row in enumerate(self.left) if elems[row[x]].length < w.length
-        )
+        return self._descents(self.left, w)
 
     def right_descents(self, w: WeylElem) -> tuple[int, ...]:
-        elems, x = self.elements, w.index
-        return tuple(
-            i + 1 for i, row in enumerate(self.right) if elems[row[x]].length < w.length
-        )
+        return self._descents(self.right, w)
 
     def bruhat_leq(self, x: WeylElem, y: WeylElem) -> bool:
-        """Bruhat order via the subword recursion on a descent of y."""
-        if x.length > y.length:
-            return False
-        if x is y or x.length == 0:
-            return True
-        key = (x.index, y.index)
-        cached = self._bruhat.get(key)
-        if cached is None:
-            row, elems = self.left[y.word[0] - 1], self.elements
-            sx, sy = elems[row[x.index]], elems[row[y.index]]
-            cached = self.bruhat_leq(sx if sx.length < x.length else x, sy)
-            self._bruhat[key] = cached
-        return cached
+        """Property Z on the first letter s of y's word, so sy < y.
+
+        x <= y iff sx <= sy when sx < x, and iff x <= sy otherwise.  The
+        loop stops at x = e or x = y, both true, or at x past y in index,
+        so l(x) >= l(y) with x != y: false.
+        """
+        left, elems = self.left, self.elements
+        x, y = x.index, y.index
+        while 0 < x < y:
+            row = left[elems[y].word[0] - 1]
+            if row[x] < x:
+                x = row[x]
+            y = row[y]
+        return x <= y
 
     # -- parabolic structure -----------------------------------------
 
@@ -238,58 +246,41 @@ class WeylGroup:
     def parabolic_longest(self, subset: Iterable[int]) -> WeylElem:
         return self.parabolic_elements(subset)[-1]
 
+    def _ascending(self, table: _Table, subset: Iterable[int]) -> tuple[WeylElem, ...]:
+        """The elements with no descent in the subset on the side of table."""
+        rows = [table[i - 1] for i in self._check_subset(subset)]
+        return tuple(w for w in self.elements if all(row[w.index] > w.index for row in rows))
+
     def min_coset_reps(self, subset: Iterable[int]) -> tuple[WeylElem, ...]:
         """W^J: minimal length representatives of the cosets w W_J."""
-        J = self._check_subset(subset)
-        return tuple(
-            w for w in self.elements
-            if all((w * self.simple(j)).length > w.length for j in J)
-        )
+        return self._ascending(self.right, subset)
 
     def min_coset_reps_right(self, subset: Iterable[int]) -> tuple[WeylElem, ...]:
         """^IW: minimal length representatives of the cosets W_I w."""
-        I = self._check_subset(subset)
-        return tuple(
-            w for w in self.elements
-            if all((self.simple(i) * w).length > w.length for i in I)
-        )
+        return self._ascending(self.left, subset)
 
     def double_quotient(
         self, left: Iterable[int], right: Iterable[int]
     ) -> tuple[WeylElem, ...]:
         """^IW^J: the w in ^IW with w s_j longer and still in ^IW, all j in J."""
-        J = self._check_subset(right)
+        rows = [self.right[j - 1] for j in self._check_subset(right)]
         reps = self.min_coset_reps_right(left)
-        in_reps = set(reps)
-        out = []
-        for w in reps:
-            ok = True
-            for j in J:
-                ws = w * self.simple(j)
-                if ws.length != w.length + 1 or ws not in in_reps:
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-        return tuple(out)
+        in_reps = {w.index for w in reps}
+        return tuple(
+            w for w in reps
+            if all(row[w.index] > w.index and row[w.index] in in_reps for row in rows)
+        )
 
     def coset_factorize(
         self, w: WeylElem, subset: Iterable[int]
     ) -> tuple[WeylElem, WeylElem]:
         """Split w = d * u with d in W^J, u in W_J."""
         J = self._check_subset(subset)
-        d = w
-        u = self.identity
-        moved = True
-        while moved:
-            moved = False
-            for j in J:
-                s = self.simple(j)
-                if (d * s).length < d.length:
-                    d = d * s
-                    u = s * u
-                    moved = True
-        return d, u
+        d, u = w.index, 0
+        # move right descents in J from d onto u until d has none
+        while j := next((j for j in J if self.right[j - 1][d] < d), 0):
+            d, u = self.right[j - 1][d], self.left[j - 1][u]
+        return self.elements[d], self.elements[u]
 
     # -- weights -----------------------------------------------------
 

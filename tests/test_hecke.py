@@ -75,6 +75,16 @@ def test_mu_on_covers(hecke_a3, a3):
     assert hecke_a3.mu(e, a3.word_elem((1, 2))) == 0
 
 
+def test_mu_needs_y_strictly_below_w(hecke_a3, a3):
+    s1s2 = a3.word_elem((1, 2))
+    # shorter but not below: s3 does not lie under s1 s2
+    with pytest.raises(ValueError, match="strictly below"):
+        hecke_a3.mu(a3.simple(3), s1s2)
+    for w in (a3.identity, s1s2, a3.w0):
+        with pytest.raises(ValueError, match="strictly below"):
+            hecke_a3.mu(w, w)
+
+
 def test_kl_expansion_roundtrip(hecke_a2, a2):
     c1 = hecke_a2.kl_element(a2.simple(1))
     prod = c1 * c1

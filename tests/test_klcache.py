@@ -108,9 +108,10 @@ def _record(yword, wword, coeffs, kind="A2"):
     (_record((1, 2), (1, 2), (1, 1)), "P_{w,w} is not 1"),
     (_record((1, 2), (2, 1), (1,)), "l(y) >= l(w)"),
     (_record((1,), (1, 2), (1, 1)), "degree"),
+    (_record((1,), (1, 2), (2,)), "constant term of P_{y,w} is not 1"),
     (None, "truncated"),
 ], ids=["non-reduced-word", "diagonal-not-one", "length-not-below", "degree-too-high",
-        "truncated-tail"])
+        "constant-term-not-one", "truncated-tail"])
 def test_bad_file_merges_nothing(tmp_path, a2, tail, problem):
     # every bad part follows a full set of valid records, none of which may
     # reach the table

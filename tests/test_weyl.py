@@ -57,8 +57,8 @@ def test_reduced_words_use_smallest_descent(b2):
             assert word[0] == min(b2.left_descents(w))
 
 
-def test_bruhat_matches_closure_oracle(a2, b2):
-    for group in (a2, b2):
+def test_bruhat_matches_closure_oracle(a2, b2, b3):
+    for group in (a2, b2, b3, weyl_group("D4")):
         closed = bruhat_closure_leq(group)
         for x in group.elements:
             for y in group.elements:
@@ -121,6 +121,40 @@ def test_double_quotient_definition(a2):
             ]
             assert list(got) == brute
             assert list(got) == double_quotient_weight_oracle(a2, I, J)
+
+
+@pytest.mark.parametrize("kind", ["D4", "F4"])
+def test_descents_and_cosets_match_products_and_lengths(kind):
+    # every answer read off the shift tables, against definitions by
+    # Weyl products and lengths alone
+    group = weyl_group(kind)
+    simples = [group.word_elem((i,)) for i in range(1, group.rank + 1)]
+    right = {w: {i for i, s in enumerate(simples, 1) if (w * s).length < w.length}
+             for w in group.elements}
+    left = {w: {i for i, s in enumerate(simples, 1) if (s * w).length < w.length}
+            for w in group.elements}
+    for w in group.elements:
+        assert group.right_descents(w) == tuple(sorted(right[w]))
+        assert group.left_descents(w) == tuple(sorted(left[w]))
+    subsets = [frozenset(J) for J in ((), (1,), (2,), (1, 3), (2, 3), (1, 2, 4), (1, 2, 3, 4))]
+    for J in subsets:
+        reps = [w for w in group.elements if not right[w] & J]
+        reps_right = [w for w in group.elements if not left[w] & J]
+        assert list(group.min_coset_reps(J)) == reps
+        assert list(group.min_coset_reps_right(J)) == reps_right
+        inside = set(group.parabolic_elements(J))
+        for w in group.elements:
+            d, u = group.coset_factorize(w, J)
+            assert d * u is w and d.length + u.length == w.length
+            assert not right[d] & J and u in inside
+        for I in subsets:
+            in_left = [w for w in group.elements if not left[w] & I]
+            brute = [
+                w for w in in_left
+                if all((w * simples[j - 1]).length == w.length + 1
+                       and not left[w * simples[j - 1]] & I for j in J)
+            ]
+            assert list(group.double_quotient(I, J)) == brute
 
 
 def test_double_quotient_can_be_empty():
