@@ -15,13 +15,14 @@ everything stays in Z[v, v^-1] and is exact.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly
 from .weyl import WeylElem, WeylGroup
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "NotAntidominantError",
@@ -64,8 +65,7 @@ class UnsupportedBlockError(ValueError):
     """The requested report is only defined for I = empty blocks."""
 
 
-@dataclass(frozen=True)
-class BlockDesc:
+class BlockDesc(NamedTuple):
     """A block description: weights, subsets and the index set ^IW^J."""
 
     group: WeylGroup
@@ -126,8 +126,7 @@ def standard_block(group: WeylGroup, parabolic: Iterable[int],
     )
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
+class GradedMatrix(NamedTuple):
     """Matrix of Laurent polynomials with element-labelled axes."""
 
     rows: tuple[WeylElem, ...]
@@ -292,8 +291,7 @@ def parabolic_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> Grade
     return _decomposition_by_lookup(block, hecke)
 
 
-@dataclass
-class GradedLengthRow:
+class GradedLengthRow(NamedTuple):
     x: WeylElem
     verma_top: int
     verma_expected: int
@@ -368,8 +366,7 @@ def vp_graded_dimension(block: BlockDesc, hecke: HeckeAlgebra, x: WeylElem) -> L
     return total
 
 
-@dataclass
-class BSReport:
+class BSReport(NamedTuple):
     """Decomposition data of one Bott-Samelson word in a regular block."""
 
     word: tuple[int, ...]

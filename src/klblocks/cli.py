@@ -13,26 +13,17 @@ finds a violated invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
 # unused here, but perfbench's tracer self-test looks up cli.klcache.load_kl_table
 from . import klcache, serialize  # noqa: F401
-from .blocks import (
-    bott_samelson_decomposition,
-    decomposition_matrix,
-    graded_cartan_matrix,
-    inverse_decomposition_matrix,
-    standard_block,
-    translation_composite,
-    vp_center,
-    vp_graded_dimension,
-)
-from .hecke import HeckeAlgebra
 from .roots import UnknownTypeError
-from .serialize import matrix_to_csv, matrix_to_json, matrix_to_table, word_label
+from .serialize import matrix_to_csv, matrix_to_table, word_label
 from .weyl import WeylGroup, weyl_group_of_kind
+
+# Handlers import blocks, hecke, schubert, checks and json when they
+# run, so a command loads no layer it does not use.
 
 __all__ = ["main"]
 
@@ -91,17 +82,21 @@ def _group(args) -> WeylGroup:
     return group
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _print_matrix(matrix, args) -> None:
     if args.format == "json":
-        text = matrix_to_json(matrix)
+        payload = serialize.matrix_payload(matrix)
         if args.eval_v is not None:
-            payload = json.loads(text)
             payload["eval_point"] = args.eval_v
             payload["eval"] = [
                 [str(x) for x in row] for row in matrix.evaluate(args.eval_v)
             ]
-            text = json.dumps(payload, indent=2)
-        print(text)
+        _print_json(payload)
         return
     if args.format == "csv":
         print(matrix_to_csv(matrix), end="")
@@ -119,6 +114,8 @@ def _print_matrix(matrix, args) -> None:
 
 
 def _block(args, group: WeylGroup):
+    from .blocks import standard_block
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -143,7 +140,7 @@ def _cmd_root_system(args) -> int:
             "weyl_order": len(group.elements),
             "longest_word": list(group.w0.word),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"kind {datum.kind}")
     print(f"rank {datum.rank}")
@@ -192,7 +189,7 @@ def _cmd_weyl(args) -> int:
                 {"word": list(w.word), "length": w.length} for w in elems
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"{group.kind}: {title} ({len(elems)})")
     print(serialize.plain_table(
@@ -205,6 +202,8 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from .hecke import HeckeAlgebra
+
     group = _group(args)
     hecke = HeckeAlgebra(group)
     y = _element(group, args.y)
@@ -217,7 +216,7 @@ def _cmd_kl(args) -> int:
             "w": list(w.word),
             "p": serialize.laurent_json(poly),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(poly.render("q"))
     return 0
@@ -241,7 +240,7 @@ def _cmd_schubert(args) -> int:
                 {"word": list(w.word), "coef": str(c)} for w, c in pairs
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"X[{word_label(x)}] * X[{word_label(y)}] =")
     if not pairs:
@@ -265,7 +264,7 @@ def _cmd_gram(args) -> int:
             "basis": [list(w.word) for w in reps],
             "gram": [[str(x) for x in row] for row in gram],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     if args.format == "csv":
         print("w," + ",".join(labels))
@@ -279,21 +278,27 @@ def _cmd_gram(args) -> int:
     return 0
 
 
-def _matrix_command(builder):
-    """Handler printing the matrix ``builder`` makes for the chosen block."""
+def _matrix_command(builder: str):
+    """Handler printing the matrix ``blocks.<builder>`` makes for the chosen block."""
     def handler(args) -> int:
+        from . import blocks
+        from .hecke import HeckeAlgebra
+
         if args.eval_v is not None and args.format == "csv":
             raise _UsageError("--eval-v is not available with --format csv")
         if args.eval_v == 0:
             raise _UsageError("--eval-v 0: Laurent polynomials cannot be evaluated at v = 0")
         group = _group(args)
         hecke = HeckeAlgebra(group)
-        _print_matrix(builder(_block(args, group), hecke), args)
+        _print_matrix(getattr(blocks, builder)(_block(args, group), hecke), args)
         return 0
     return handler
 
 
 def _cmd_vp_dims(args) -> int:
+    from .blocks import vp_center, vp_graded_dimension
+    from .hecke import HeckeAlgebra
+
     group = _group(args)
     hecke = HeckeAlgebra(group)
     if args.I:
@@ -311,7 +316,7 @@ def _cmd_vp_dims(args) -> int:
                 for x, vp in rows
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"{group.kind}: graded dimensions, J={sorted(args.J)}, center {center}")
     print(serialize.plain_table(
@@ -324,6 +329,9 @@ def _cmd_vp_dims(args) -> int:
 
 
 def _cmd_bott_samelson(args) -> int:
+    from .blocks import bott_samelson_decomposition, standard_block
+    from .hecke import HeckeAlgebra
+
     group = _group(args)
     hecke = HeckeAlgebra(group)
     block = standard_block(group, (), ())
@@ -345,7 +353,7 @@ def _cmd_bott_samelson(args) -> int:
             "support_ok": report.support_ok,
             "natural_coeffs_ok": report.natural_coeffs_ok,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"word {'.'.join(map(str, report.word)) or 'e'} -> x = {word_label(report.x)}")
     ordered = sorted(report.multiplicities.items(), key=lambda kv: kv[0].index)
@@ -367,6 +375,9 @@ def _cmd_bott_samelson(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .blocks import standard_block, translation_composite
+    from .hecke import HeckeAlgebra
+
     group = _group(args)
     hecke = HeckeAlgebra(group)
     regular = standard_block(group, (), ())
@@ -391,7 +402,7 @@ def _cmd_translate(args) -> int:
             ],
             "matches_hecke_product": agrees,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"{group.kind}: wall J={sorted(args.J)}, through-wall image of [{word_label(x)}]")
     print(serialize.plain_table(
@@ -452,13 +463,13 @@ def _build_parser() -> _Parser:
             formats=("table", "json", "csv"))
     p.add_argument("--J", type=_parse_subset, default=frozenset(),
                    help="comma-separated simple indices (1-based)")
-    add("decomp", _matrix_command(decomposition_matrix),
+    add("decomp", _matrix_command("decomposition_matrix"),
         "graded decomposition matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
-    add("inverse-decomp", _matrix_command(inverse_decomposition_matrix),
+    add("inverse-decomp", _matrix_command("inverse_decomposition_matrix"),
         "inverse graded decomposition matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
-    add("cartan", _matrix_command(graded_cartan_matrix),
+    add("cartan", _matrix_command("graded_cartan_matrix"),
         "graded Cartan matrix", subsets=True, matrix=True,
         formats=("table", "json", "csv"))
     add("vp-dims", _cmd_vp_dims, "graded dimensions on the wall", subsets=True)

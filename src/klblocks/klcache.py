@@ -10,8 +10,10 @@ Loading is all or nothing: every record of the requested type is decoded
 and validated before any is stored, so a file that fails leaves the
 caller's table as it was.  A record is rejected with ``ValueError`` unless
 both words are reduced, ``P_{w,w} = 1``, and for ``y != w`` all of
-``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1`` and ``P_{y,w}(0) = 1``
-hold.  Whether ``y <= w`` in Bruhat order is not checked.
+``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1``, ``P_{y,w}(0) = 1`` and
+``y <= w`` in Bruhat order hold.  A column holds exactly the ``y <= w``,
+so a record outside that support would turn ``HeckeAlgebra.mu``'s
+refusal into an answer.
 
 Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
@@ -28,9 +30,12 @@ import contextlib
 import os
 import struct
 import tempfile
+from typing import TYPE_CHECKING
 
-from .hecke import HeckeAlgebra, KLTable
 from .laurent import LaurentPoly
+
+if TYPE_CHECKING:
+    from .hecke import HeckeAlgebra, KLTable
 
 __all__ = ["save_kl_table", "load_kl_table", "cache_path"]
 
@@ -128,6 +133,8 @@ def _record_problem(y, w, ylen: int, wlen: int, coeffs, terms) -> str:
         return "degree of P_{y,w} too high"
     if coeffs[:1] != (1,):
         return "constant term of P_{y,w} is not 1"
+    if not w.group.bruhat_leq(y, w):
+        return "y is not below w in Bruhat order"
     return ""
 
 

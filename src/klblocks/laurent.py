@@ -14,8 +14,10 @@ True
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "V"]
 
@@ -215,6 +217,8 @@ class LaurentPoly:
 
     def evaluate(self, x: int) -> Fraction:
         """Value at v = x; exact, so negative exponents give fractions."""
+        from fractions import Fraction
+
         if x == 0:
             raise ValueError("cannot evaluate at v = 0")
         total = Fraction(0)

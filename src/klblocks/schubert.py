@@ -30,9 +30,8 @@ cross-check them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import rank as matrix_rank
 from .linalg import solve as linear_solve
@@ -120,8 +119,7 @@ class SchubertElem:
         return " + ".join(f"{c}*X[{name(w)}]" for w, c in self.items())
 
 
-@dataclass
-class FreeBasisReport:
+class FreeBasisReport(NamedTuple):
     """Certificate that the algebra is free over a parabolic piece."""
 
     subset: frozenset[int]
@@ -132,8 +130,7 @@ class FreeBasisReport:
     expansion_rank: int
 
 
-@dataclass
-class CellularDatum:
+class CellularDatum(NamedTuple):
     """Ordered basis of a coset quotient with degrees and chain check."""
 
     subset: frozenset[int]

@@ -9,18 +9,20 @@ CSV both round-trip through the parsers here.
 
 from __future__ import annotations
 
-import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .blocks import GradedMatrix
 from .laurent import LaurentPoly
-from .weyl import WeylElem, WeylGroup
+
+if TYPE_CHECKING:
+    from .blocks import GradedMatrix
+    from .weyl import WeylElem, WeylGroup
 
 __all__ = [
     "laurent_json",
     "word_label",
     "parse_word_label",
     "matrix_to_table",
+    "matrix_payload",
     "matrix_to_json",
     "matrix_from_json",
     "matrix_to_csv",
@@ -73,18 +75,28 @@ def matrix_to_table(m: GradedMatrix) -> str:
     )
 
 
-def matrix_to_json(m: GradedMatrix) -> str:
-    payload = {
+def matrix_payload(m: GradedMatrix) -> dict:
+    """The JSON-ready dict that ``matrix_to_json`` writes."""
+    return {
         "rows": [list(w.word) for w in m.rows],
         "cols": [list(w.word) for w in m.cols],
         "entries": [
             [laurent_json(entry) for entry in row] for row in m.entries
         ],
     }
-    return json.dumps(payload, indent=2)
+
+
+def matrix_to_json(m: GradedMatrix) -> str:
+    import json
+
+    return json.dumps(matrix_payload(m), indent=2)
 
 
 def matrix_from_json(text: str, group: WeylGroup) -> GradedMatrix:
+    import json
+
+    from .blocks import GradedMatrix
+
     payload = json.loads(text)
     rows = tuple(group.word_elem(word) for word in payload["rows"])
     cols = tuple(group.word_elem(word) for word in payload["cols"])
@@ -108,6 +120,8 @@ def matrix_to_csv(m: GradedMatrix) -> str:
 
 
 def matrix_from_csv(text: str, group: WeylGroup) -> GradedMatrix:
+    from .blocks import GradedMatrix
+
     lines = [line for line in text.strip().splitlines() if line]
     if not lines or lines[0].split(",")[0] != "w":
         raise ValueError("missing CSV header")

@@ -237,7 +237,7 @@ def test_eval_at_zero_is_rejected_before_any_output(capsys, monkeypatch, command
     def refuse(*args):
         raise AssertionError("built a block for --eval-v 0")
 
-    monkeypatch.setattr("klblocks.cli.standard_block", refuse)
+    monkeypatch.setattr("klblocks.blocks.standard_block", refuse)
     assert run([command, "--type", "A2", "--eval-v", "0", "--format", fmt]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -357,15 +357,17 @@ def test_root_system_and_weyl_bytes_are_stable(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Prints the klblocks submodules loaded by one command, after its output.
+# Prints the klblocks submodules, and those of the slow-to-import standard
+# modules, that one command loads, after its output.
 _IMPORT_PROBE = """
 import sys
+before = set(sys.modules)
 from klblocks.cli import main
 main(sys.argv[1:])
-print(sorted(m for m in sys.modules if m.startswith("klblocks.")))
+heavy = {"dataclasses", "inspect", "fractions", "json"}
+print(sorted(m for m in set(sys.modules) - before
+             if m.startswith("klblocks.") or m in heavy))
 """
-_UNUSED_BY_KL = {"klblocks.checks", "klblocks.schubert", "klblocks.ratpoly",
-                 "klblocks.linalg"}
 
 
 def _loaded_modules(argv, env):
@@ -374,10 +376,22 @@ def _loaded_modules(argv, env):
     return set(ast.literal_eval(done.stdout.splitlines()[-1]))
 
 
-def test_kl_command_loads_only_its_layers(child_env):
-    loaded = _loaded_modules(["kl", "--type", "A2", "--y", "1", "--w", "1,2"], child_env)
-    assert "klblocks.hecke" in loaded
-    assert not loaded & _UNUSED_BY_KL
+# What every command loads: the front end, the group and the renderers.
+_CLI_CORE = {"klblocks.cli", "klblocks.klcache", "klblocks.laurent", "klblocks.roots",
+             "klblocks.serialize", "klblocks.weyl"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["weyl", "--type", "A2"], set()),
+    (["kl", "--type", "A2", "--y", "1", "--w", "1,2"], {"hecke"}),
+    (["cartan", "--type", "A2"], {"hecke", "blocks"}),
+    (["vp-dims", "--type", "A2", "--J", "1"], {"hecke", "blocks"}),
+    (["translate", "--type", "A2", "--J", "1", "--x", "e"], {"hecke", "blocks"}),
+], ids=["weyl", "kl", "cartan", "vp-dims", "translate"])
+def test_table_command_loads_only_its_layers(child_env, argv, layers):
+    # no dataclasses, inspect, fractions or json either
+    loaded = _loaded_modules(argv, child_env)
+    assert loaded == _CLI_CORE | {f"klblocks.{name}" for name in layers}
 
 
 def test_schubert_command_loads_the_schubert_layer(child_env):

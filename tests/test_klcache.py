@@ -125,6 +125,19 @@ def test_bad_file_merges_nothing(tmp_path, a2, tail, problem):
     assert len(target.kl_table) == 0
 
 
+def test_record_outside_bruhat_support_merges_nothing(tmp_path, a3):
+    # P_{s3, s1s2} = 1 passes every length, degree and constant-term test,
+    # but s3 is not below s1 s2; stored, it would make mu answer 1.
+    path = tmp_path / "A3.klt"
+    path.write_bytes(b"KLT1" + _record((3,), (1, 2), (1,), kind="A3"))
+    target = HeckeAlgebra(a3)
+    with pytest.raises(ValueError, match="not below w in Bruhat order"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+    with pytest.raises(ValueError, match="strictly below"):
+        target.mu(a3.simple(3), a3.word_elem((1, 2)))
+
+
 def test_resave_is_byte_identical(tmp_path, a2):
     fresh = HeckeAlgebra(a2)
     table = full_table(fresh)
