@@ -14,7 +14,6 @@ everything stays in Z[v, v^-1] and is exact.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hecke import HeckeAlgebra
@@ -77,17 +76,16 @@ class BlockDesc(NamedTuple):
     index_set: tuple[WeylElem, ...]
 
     @property
-    def regular_weight(self) -> bool:
-        return not self.J
-
-    @property
     def ordinary(self) -> bool:
         """True when mu is regular, so no parabolic condition (I empty)."""
         return not self.I
 
 
 def make_block(group: WeylGroup, lam: Sequence[int], mu: Sequence[int]) -> BlockDesc:
-    """Build the block of the pair (lam, mu); both must be antidominant."""
+    """Build the block of the pair (lam, mu); both must be antidominant.
+
+    An empty ^IW^J gives a block whose matrices are 0x0.
+    """
     lam = tuple(lam)
     mu = tuple(mu)
     for name, weight in (("lam", lam), ("mu", mu)):
@@ -98,12 +96,6 @@ def make_block(group: WeylGroup, lam: Sequence[int], mu: Sequence[int]) -> Block
     J = group.singularity_subset(lam)
     I = group.singularity_subset(mu)
     index = group.double_quotient(I, J)
-    if not index:
-        warnings.warn(
-            f"block (I={sorted(I)}, J={sorted(J)}) of {group.kind} has an empty "
-            "index set; matrices will be 0x0",
-            stacklevel=2,
-        )
     return BlockDesc(group, lam, mu, I, J, group.parabolic_longest(I), index)
 
 
@@ -135,10 +127,6 @@ class GradedMatrix(NamedTuple):
 
     def entry(self, x: WeylElem, y: WeylElem) -> LaurentPoly:
         return self.entries[self.rows.index(x)][self.cols.index(y)]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
 
     def transpose(self) -> "GradedMatrix":
         return GradedMatrix(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import random
 import tempfile
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -257,12 +256,6 @@ class _Suite:
         self.rng = random.Random(20240 + len(self.group.kind))
         self.subsets = _subset_list(self.group.rank)
         self.regular = standard_block(self.group, (), ())
-
-    def quiet_block(self, I, J):
-        """Block for a subset pair; empty index sets are expected here."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return standard_block(self.group, I, J)
 
     # -- exact scalar layers -----------------------------------------
 
@@ -788,7 +781,7 @@ class _Suite:
         h = self.hecke
         count = 0
         for I, J in self._block_pairs():
-            block = self.quiet_block(I, J)
+            block = standard_block(self.group, I, J)
             if not block.index_set:
                 continue
             d = decomposition_matrix(block, h)
@@ -811,7 +804,7 @@ class _Suite:
     def check_cartan_symmetry(self) -> str:
         h = self.hecke
         for I, J in self._block_pairs():
-            block = self.quiet_block(I, J)
+            block = standard_block(self.group, I, J)
             if not block.index_set:
                 continue
             c = graded_cartan_matrix(block, h)

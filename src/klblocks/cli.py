@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 # unused here, but perfbench's tracer self-test looks up cli.klcache.load_kl_table
 from . import klcache, serialize  # noqa: F401
@@ -116,12 +115,13 @@ def _print_matrix(matrix, args) -> None:
 def _block(args, group: WeylGroup):
     from .blocks import standard_block
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return standard_block(group, sorted(args.I), sorted(args.J))
-        except UserWarning as exc:
-            raise _UsageError(str(exc)) from None
+    block = standard_block(group, sorted(args.I), sorted(args.J))
+    if not block.index_set:
+        raise _UsageError(
+            f"block (I={sorted(block.I)}, J={sorted(block.J)}) of {group.kind} "
+            "has an empty index set; matrices will be 0x0"
+        )
+    return block
 
 
 # -- subcommand handlers ---------------------------------------------

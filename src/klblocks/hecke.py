@@ -13,10 +13,10 @@ multiply and bar are one walk on packed coefficients (LaurentPoly.pack):
 each coefficient becomes one Python int, its value at v = 2^B times a
 power of 2^B, exact for any B.  a * b right-multiplies a by T_s along
 the word of each term of b; bar(a) multiplies 1 by T_s^-1 = T_s - v + v^-1
-along the word of each term of a.  Canonical words are suffix-closed
-(u's word is a letter i, then the word of s_i u), so the walk folds all
-terms down one tree of words, one step per node.  Each step at most
-triples the L1 norm, so every output coefficient k has |k| <= M with
+along the word of each term of a.  The walk folds all terms down the
+tree of canonical words of ``WeylGroup.suffix_closure``, one step per
+node (see the ``weyl`` module docstring).  Each step at most triples
+the L1 norm, so every output coefficient k has |k| <= M with
 M = |a|_1 sum_y |b_y|_1 3^l(y) for a * b, M = sum_w |a_w|_1 3^l(w) for
 bar(a), and unpack reads it back at B = bit_length(M) + 1.  A shift of
 max l(y) (or max l(w)) keeps every exponent >= 1 before each step, so
@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
-from .weyl import WeylElem, WeylGroup
+from .weyl import Combination, WeylElem, WeylGroup
 
 __all__ = ["HeckeElem", "HeckeAlgebra", "KLTable"]
 
@@ -78,60 +78,15 @@ class KLTable:
         return sum(len(column) for column in self._columns.values())
 
 
-class HeckeElem:
+class HeckeElem(Combination):
     """Element in the T basis: a finite sum of LaurentPoly * T_w."""
 
-    __slots__ = ("algebra", "_c")
+    __slots__ = ()
+    _zero = LaurentPoly.zero()
+    _ring = "Hecke algebra"
 
-    def __init__(self, algebra: "HeckeAlgebra", coeffs: Mapping[WeylElem, LaurentPoly]):
-        self.algebra = algebra
-        self._c = {w: p for w, p in coeffs.items() if not p.is_zero()}
-
-    def items(self) -> tuple[tuple[WeylElem, LaurentPoly], ...]:
-        return tuple(sorted(self._c.items(), key=lambda wp: wp[0].index))
-
-    def coefficient(self, w: WeylElem) -> LaurentPoly:
-        return self._c.get(w, LaurentPoly.zero())
-
-    def support(self) -> tuple[WeylElem, ...]:
-        return tuple(w for w, _ in self.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __add__(self, other: "HeckeElem") -> "HeckeElem":
-        self.algebra._check_group(other)
-        c = dict(self._c)
-        for w, p in other._c.items():
-            _accumulate(c, w, p)
-        return HeckeElem(self.algebra, c)
-
-    def __neg__(self) -> "HeckeElem":
-        return HeckeElem(self.algebra, {w: -p for w, p in self._c.items()})
-
-    def __sub__(self, other: "HeckeElem") -> "HeckeElem":
-        return self + (-other)
-
-    def __mul__(self, other) -> "HeckeElem":
-        if isinstance(other, HeckeElem):
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "HeckeElem":
-        return self.scale(other)
-
-    def scale(self, p) -> "HeckeElem":
-        if isinstance(p, int):
-            p = LaurentPoly({0: p})
-        return HeckeElem(self.algebra, {w: c * p for w, c in self._c.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HeckeElem) and self._c == other._c
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-        return " + ".join(f"({p})T[{w!r}]" for w, p in self.items())
+    def _term(self, w: WeylElem, p: LaurentPoly) -> str:
+        return f"({p})T[{w!r}]"
 
 
 class HeckeAlgebra:
@@ -161,19 +116,11 @@ class HeckeAlgebra:
     def one(self) -> HeckeElem:
         return self.t(self.group.identity)
 
-    def _check_group(self, *operands: HeckeElem) -> None:
-        for a in operands:
-            if a.algebra.group is not self.group:
-                raise ValueError(
-                    f"element of the Hecke algebra of {a.algebra.group.kind} "
-                    f"used in that of {self.group.kind}"
-                )
-
     # -- multiplication ----------------------------------------------
 
     def multiply(self, a: HeckeElem, b: HeckeElem) -> HeckeElem:
         """a * b = sum over y of b_y (a T_y), on packed coefficients."""
-        self._check_group(a, b)
+        HeckeElem.check_group(self.group, a, b)
         if a.is_zero() or b.is_zero():
             return HeckeElem(self, {})
         bound = _norm(a) * sum(_norm1(p) * 3 ** y.length for y, p in b._c.items())
@@ -192,7 +139,7 @@ class HeckeAlgebra:
 
     def bar(self, a: HeckeElem) -> HeckeElem:
         """bar(a) = sum over w of bar(a_w) bar(T_w), on packed coefficients."""
-        self._check_group(a)
+        HeckeElem.check_group(self.group, a)
         if a.is_zero():
             return HeckeElem(self, {})
         # bar(T_w) is the product of the l(w) factors T_s - v + v^-1 along w's
@@ -215,14 +162,11 @@ class HeckeAlgebra:
         is j; R_e is the sum.
         """
         left, right, elems = self.group.left, self.group.right, self.group.elements
-        total: dict[int, int] = {}
-        sums = {0: total}
-        for u in coeffs:
-            while u not in sums:
-                sums[u] = {}
-                u = left[elems[u].word[0] - 1][u]
-        # Indices ascend with length, so children come before parents.
-        for u in sorted(sums, reverse=True):
+        closure = self.group.suffix_closure(coeffs)
+        sums: dict[int, dict[int, int]] = {u: {} for u in closure}
+        total = sums[0]
+        # Children come before parents in reverse index order.
+        for u in reversed(closure):
             cur = sums.pop(u)
             m = coeffs.get(u)
             if m:

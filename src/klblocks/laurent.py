@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "V"]
+__all__ = ["LaurentPoly"]
 
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:V(?:\^(-?\d+))?)?$")
 
@@ -72,6 +72,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._c
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
 
     def min_exp(self) -> int | None:
         return min(self._c) if self._c else None
@@ -211,10 +214,6 @@ class LaurentPoly:
             raise ValueError("substitution exponent must be nonzero")
         return LaurentPoly({e * n: k for e, k in self._c.items()})
 
-    def truncate_below(self, bound: int) -> "LaurentPoly":
-        """Keep only the terms with exponent < bound."""
-        return LaurentPoly({e: k for e, k in self._c.items() if e < bound})
-
     def evaluate(self, x: int) -> Fraction:
         """Value at v = x; exact, so negative exponents give fractions."""
         from fractions import Fraction
@@ -235,9 +234,6 @@ class LaurentPoly:
 
     def has_nonnegative_coeffs(self) -> bool:
         return all(k >= 0 for k in self._c.values())
-
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
 
     # -- rendering ---------------------------------------------------
 
@@ -296,8 +292,3 @@ class LaurentPoly:
                 e = int(exp)
             terms.append((e, k))
         return cls(terms)
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-V = LaurentPoly.gen()

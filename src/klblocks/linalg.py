@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["rref", "rank", "det", "solve", "int_matrix_inverse"]
+__all__ = ["rref", "rank", "det", "solve"]
 
 Matrix = list[list[Fraction]]
 
@@ -89,19 +89,3 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
         x[c] = red[r][ncols]
     return x
 
-
-def int_matrix_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix that is invertible over Z."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = red[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not invertible over Z")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)

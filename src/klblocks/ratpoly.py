@@ -240,10 +240,6 @@ class RatPoly:
             for d, t in sorted(parts.items())
         }
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self._t}
-        return len(degrees) <= 1
-
     def graded_degree(self) -> int | None:
         """Graded degree of a homogeneous polynomial; None for zero."""
         degrees = {sum(m) for m in self._t}

@@ -14,8 +14,9 @@ polynomials over one denominator that divides |W|.
 Delta_x does not depend on the reduced word, so one walk up the left
 weak order serves every caller that needs Delta_x for many x: with i
 the first letter of x's canonical word, Delta_x = Delta_i Delta_{s_i x},
-one Delta_i step per element from the image of s_i x, which comes
-earlier in index order.  The walk lives for one call.  It gives the
+one Delta_i step per element of ``WeylGroup.suffix_closure`` from the
+image of s_i x, which comes earlier in index order (see the ``weyl``
+module docstring).  The walk lives for one call.  It gives the
 representatives D_w from D, the projection of each degree component
 over the elements of that length, the generators Delta_w(mu_J) over
 W_J, and the per-degree tables of the composition check
@@ -31,14 +32,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import rank as matrix_rank
 from .linalg import solve as linear_solve
 # divide_by_linear is not called here any more; the name stays importable
 # from this module for code that looks it up here.
 from .ratpoly import RatPoly, divide_by_linear  # noqa: F401
-from .weyl import WeylElem, WeylGroup
+from .weyl import Combination, WeylElem, WeylGroup
 
 __all__ = [
     "NotInParabolicError",
@@ -58,65 +59,19 @@ class NotFreeError(ValueError):
     """Freeness over a parabolic invariant ring failed to certify."""
 
 
-class SchubertElem:
+class SchubertElem(Combination):
     """Rational combination of Schubert classes X_w."""
 
-    __slots__ = ("algebra", "_c")
-
-    def __init__(self, algebra: "CoinvariantAlgebra",
-                 coeffs: Mapping[WeylElem, Fraction]):
-        self.algebra = algebra
-        self._c = {w: Fraction(c) for w, c in coeffs.items() if c}
-
-    def items(self) -> tuple[tuple[WeylElem, Fraction], ...]:
-        return tuple(sorted(self._c.items(), key=lambda wc: wc[0].index))
-
-    def coefficient(self, w: WeylElem) -> Fraction:
-        return self._c.get(w, Fraction(0))
-
-    def support(self) -> tuple[WeylElem, ...]:
-        return tuple(w for w, _ in self.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
+    __slots__ = ()
+    _zero = Fraction(0)
+    _ring = "coinvariant algebra"
 
     def graded_degrees(self) -> tuple[int, ...]:
         return tuple(sorted({2 * w.length for w in self._c}))
 
-    def __add__(self, other: "SchubertElem") -> "SchubertElem":
-        c = dict(self._c)
-        for w, x in other._c.items():
-            c[w] = c.get(w, Fraction(0)) + x
-        return SchubertElem(self.algebra, c)
-
-    def __neg__(self) -> "SchubertElem":
-        return SchubertElem(self.algebra, {w: -x for w, x in self._c.items()})
-
-    def __sub__(self, other: "SchubertElem") -> "SchubertElem":
-        return self + (-other)
-
-    def __mul__(self, other) -> "SchubertElem":
-        if isinstance(other, SchubertElem):
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "SchubertElem":
-        c = Fraction(c)
-        return SchubertElem(self.algebra, {w: x * c for w, x in self._c.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SchubertElem) and self._c == other._c
-
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-
-        def name(w):
-            return ".".join(map(str, w.word)) if w.length else "e"
-
-        return " + ".join(f"{c}*X[{name(w)}]" for w, c in self.items())
+    def _term(self, w: WeylElem, c: Fraction) -> str:
+        name = ".".join(map(str, w.word)) if w.length else "e"
+        return f"{c}*X[{name}]"
 
 
 class FreeBasisReport(NamedTuple):
@@ -214,28 +169,19 @@ class CoinvariantAlgebra:
     ) -> dict[WeylElem, list[RatPoly]]:
         """{x: [Delta_x(f) for f in fs]} in one walk up the weak order.
 
-        The keys are the targets and every element s_i x on their
-        canonical words (i the first letter of x's word).  They are
-        visited in index order, which ascends with length, and each
-        image is the one step Delta_i Delta_{s_i x}(f) that
-        ``demazure(x, f)`` takes there; a zero image passes through.
+        The keys are ``WeylGroup.suffix_closure`` of the targets,
+        visited in index order, and each image is the one step
+        Delta_i Delta_{s_i x}(f) that ``demazure(x, f)`` takes there;
+        a zero image passes through.
         """
         elems, left = self.group.elements, self.group.left
-        rows: set[WeylElem] = set()
-        for x in targets:
-            while x not in rows:
-                rows.add(x)
-                if x.length:
-                    x = elems[left[x.word[0] - 1][x.index]]
-        images: dict[WeylElem, list[RatPoly]] = {}
-        for x in sorted(rows, key=lambda x: x.index):
-            if not x.length:
-                images[x] = list(fs)
-                continue
-            i = x.word[0]
-            images[x] = [
+        closure = self.group.suffix_closure(x.index for x in targets)
+        images: dict[WeylElem, list[RatPoly]] = {elems[0]: list(fs)}
+        for k in closure[1:]:
+            i = elems[k].word[0]
+            images[elems[k]] = [
                 f if f.is_zero() else self.demazure_simple(i, f)
-                for f in images[elems[left[i - 1][x.index]]]
+                for f in images[elems[left[i - 1][k]]]
             ]
         return images
 
@@ -313,6 +259,7 @@ class CoinvariantAlgebra:
         return self._reps[w]
 
     def elem_rep(self, a: SchubertElem) -> RatPoly:
+        SchubertElem.check_group(self.group, a)
         f = RatPoly.zero(self.nvars)
         for w, c in a.items():
             f = f + self.schubert_rep(w) * c

@@ -24,17 +24,27 @@ Reduced words use 1-based simple indices and are computed by stripping
 the smallest left descent, the first negative coordinate of w(rho),
 which fixes a canonical word per element.
 Elements sort by (length, canonical word); all listings follow that
-order.
+order.  Canonical words are suffix-closed: the word of x is a letter i,
+then the word of s_i x.  So every set of elements closes under
+x -> s_i x into one tree of words rooted at e, and ``suffix_closure``
+lists it in index order, each s_i x before x: a walk over that list
+applies one generator step per node to serve a whole set of words.
+The Hecke product and bar involution, and the Demazure images of the
+Schubert layer, are such walks.
+
+``Combination`` is a finite sum of coefficients times group elements,
+sum_w c_w b_w: the one type behind Hecke elements (Laurent polynomials
+on T_w) and Schubert classes (fractions on X_w).
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .roots import RootDatum, Weight, build_root_system, parse_kind
 
-__all__ = ["NotCanonicalError", "WeylElem", "WeylGroup"]
+__all__ = ["Combination", "NotCanonicalError", "WeylElem", "WeylGroup"]
 
 # WeylGroup.left or .right: row i - 1 is the shift table of s_i
 _Table = tuple[tuple[int, ...], ...]
@@ -102,6 +112,78 @@ class WeylElem:
     def __repr__(self) -> str:
         name = ".".join(map(str, self.word)) if self.length else "e"
         return f"<{self.group.kind} {name}>"
+
+
+class Combination:
+    """A finite sum of coefficients times elements of one Weyl group.
+
+    A subclass sets ``_zero``, the coefficient off the support, and
+    ``_ring``, its algebra's name in the error for mixed groups, and
+    formats one term in ``_term``.  ``algebra`` supplies ``group`` and
+    ``multiply``.  Zero coefficients are dropped on construction, so
+    equal sums have equal coefficient dicts.
+    """
+
+    __slots__ = ("algebra", "_c")
+    _zero: Any
+    _ring: str
+
+    def __init__(self, algebra: Any, coeffs: Mapping[WeylElem, Any]):
+        self.algebra = algebra
+        self._c = {w: c for w, c in coeffs.items() if c}
+
+    @staticmethod
+    def check_group(group: "WeylGroup", *operands: "Combination") -> None:
+        """Raise ValueError for an operand over another group."""
+        for a in operands:
+            if a.algebra.group is not group:
+                raise ValueError(
+                    f"element of the {a._ring} of {a.algebra.group.kind} "
+                    f"used in that of {group.kind}"
+                )
+
+    def items(self) -> tuple[tuple[WeylElem, Any], ...]:
+        return tuple(sorted(self._c.items(), key=lambda wc: wc[0].index))
+
+    def coefficient(self, w: WeylElem) -> Any:
+        return self._c.get(w, self._zero)
+
+    def support(self) -> tuple[WeylElem, ...]:
+        return tuple(w for w, _ in self.items())
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __add__(self, other: "Combination") -> "Combination":
+        self.check_group(self.algebra.group, other)
+        c = dict(self._c)
+        for w, x in other._c.items():
+            y = c.get(w)
+            c[w] = x if y is None else y + x
+        return type(self)(self.algebra, c)
+
+    def __neg__(self) -> "Combination":
+        return type(self)(self.algebra, {w: -x for w, x in self._c.items()})
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Combination":
+        if isinstance(other, Combination):
+            return self.algebra.multiply(self, other)
+        return self.scale(other)
+
+    def __rmul__(self, other) -> "Combination":
+        return self.scale(other)
+
+    def scale(self, c) -> "Combination":
+        return type(self)(self.algebra, {w: x * c for w, x in self._c.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+    def __repr__(self) -> str:
+        return " + ".join(self._term(w, c) for w, c in self.items()) or "0"
 
 
 class WeylGroup:
@@ -201,6 +283,20 @@ class WeylGroup:
     def inverse(self, w: WeylElem) -> WeylElem:
         return self.elements[self._inverse[w.index]]
 
+    def suffix_closure(self, indices: Iterable[int]) -> list[int]:
+        """The indices with every x -> s_i x down from them, in index order.
+
+        i is the first letter of x's canonical word, so the walk from x
+        reaches e along the suffixes of that word; e is always listed.
+        """
+        left, elems = self.left, self.elements
+        seen = {0}
+        for x in indices:
+            while x not in seen:
+                seen.add(x)
+                x = left[elems[x].word[0] - 1][x]
+        return sorted(seen)
+
     # -- descents and Bruhat order -----------------------------------
 
     def _descents(self, table: _Table, w: WeylElem) -> tuple[int, ...]:
@@ -289,14 +385,6 @@ class WeylGroup:
 
     def is_antidominant(self, weight: Sequence[int]) -> bool:
         return all(x + 1 <= 0 for x in weight)
-
-    def is_regular(self, weight: Sequence[int]) -> bool:
-        """No positive coroot pairs to zero with weight + rho."""
-        shifted = tuple(x + 1 for x in weight)
-        return all(
-            self.datum.coroot_pairing(shifted, t)
-            for t in range(self.datum.num_positive_roots)
-        )
 
     def singularity_subset(self, weight: Sequence[int]) -> frozenset[int]:
         """Simple indices where <weight + rho, alpha_i^vee> = 0."""

@@ -245,6 +245,15 @@ def test_eval_at_zero_is_rejected_before_any_output(capsys, monkeypatch, command
                    "evaluated at v = 0\n")
 
 
+@pytest.mark.parametrize("command", ["decomp", "cartan", "inverse-decomp"])
+def test_empty_block_is_refused(capsys, command):
+    assert run([command, "--type", "A2", "--I", "1,2", "--J", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("klblocks: error: block (I=[1, 2], J=[1]) of A2 has an empty "
+                   "index set; matrices will be 0x0\n")
+
+
 def test_type_strings_print_canonically(capsys):
     assert run(["weyl", "--type", "a2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "A2: all elements (6)"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from klblocks.linalg import det, int_matrix_inverse, rank, rref, solve
+from klblocks.linalg import det, rank, rref, solve
 
 
 def test_rref_pivots():
@@ -43,11 +43,3 @@ def test_solve_underdetermined_is_deterministic():
 def test_solve_inconsistent():
     assert solve([[1, 1], [1, 1]], [1, 2]) is None
 
-
-def test_int_matrix_inverse():
-    inv = int_matrix_inverse([[1, 1], [0, 1]])
-    assert inv == ((1, -1), (0, 1))
-    with pytest.raises(ValueError):
-        int_matrix_inverse([[2, 0], [0, 1]])  # inverse not integral
-    with pytest.raises(ValueError):
-        int_matrix_inverse([[1, 1], [1, 1]])  # singular

@@ -278,6 +278,21 @@ def test_schubert_elem_arithmetic(coinv_a2, a2):
     assert "X[" in repr(x1)
 
 
+def test_operands_from_another_group_are_rejected():
+    a2, b2 = coinvariant_algebra("A2"), coinvariant_algebra("B2")
+    x = a2.schubert_class(a2.group.simple(1))
+    y = b2.schubert_class(b2.group.w0)
+    for op in (lambda: x + y, lambda: y - x, lambda: x * y, lambda: y * x,
+               lambda: a2.multiply(y, y)):
+        with pytest.raises(ValueError, match="coinvariant algebra of"):
+            op()
+    # a second algebra over the same group shares it
+    other = CoinvariantAlgebra(a2.group)
+    z = other.schubert_class(a2.group.simple(2))
+    assert x + z == a2.schubert_class(a2.group.simple(2)) + x
+    assert x * z == a2.multiply(x, a2.schubert_class(a2.group.simple(2)))
+
+
 @pytest.mark.parametrize("kind", ["A2", "B2", "G2", "B3"])
 def test_coinvariant_action_is_a_group_action(kind):
     group = weyl_group(kind)

@@ -177,8 +177,6 @@ def test_dominance_predicates(a2):
     assert a2.is_antidominant((-1, -2))
     assert not a2.is_antidominant((0, -2))
     assert a2.is_dominant((0, 0))
-    assert a2.is_regular((-2, -2))
-    assert not a2.is_regular((-1, -2))
 
 
 def test_singularity_subset(a2):
