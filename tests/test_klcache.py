@@ -163,6 +163,22 @@ def test_b3_cache_bytes_are_stable(tmp_path, b3):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == B3_TABLE_SHA256
 
 
+# sha256 and record count of the full A4 and D4 table files: rank-4 types
+# whose files hold more distinct words and coefficient blocks than B3's.
+TABLE_SHA256 = {
+    "A4": (3781, "982285489b882d374aeb0c6f2451a7ed1b634e0e7ce5ed3f768672f8aa48f6ae"),
+    "D4": (9817, "09b8ce0f2336b8af308fa227c135a39629ef4d0eda61d6fb70b622a5d0ffb70e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_SHA256))
+def test_rank4_cache_bytes_are_stable(tmp_path, kind):
+    count, digest = TABLE_SHA256[kind]
+    path = Path(cache_path(tmp_path, kind))
+    assert save_kl_table(full_table(HeckeAlgebra(weyl_group(kind))), path) == count
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_interleaved_saves_do_not_collide(tmp_path, a2, monkeypatch):
     # A second save runs to completion while the first sits between its
     # write and its rename; with a shared temp name the first would then
