@@ -34,7 +34,7 @@ deterministic; confine a table to one thread if that bothers you.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .laurent import LaurentPoly
 from .weyl import Combination, WeylElem, WeylGroup
@@ -59,6 +59,11 @@ class KLTable:
     def put(self, y: WeylElem, w: WeylElem, p: LaurentPoly) -> None:
         self._columns.setdefault(w, {})[y] = p
 
+    def merge(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
+        """put every entry of {w: {y: P_{y,w}}}, a column at a time."""
+        for w, column in columns.items():
+            self._columns.setdefault(w, {}).update(column)
+
     def column_complete(self, w: WeylElem) -> bool:
         return w in self._columns.get(w, _EMPTY)
 
@@ -66,6 +71,11 @@ class KLTable:
         """Read-only view of the stored entries {y: P_{y,w}}."""
         column = self._columns.get(w)
         return MappingProxyType(column) if column is not None else _EMPTY
+
+    def columns(self) -> Iterator[tuple[WeylElem, Mapping[WeylElem, LaurentPoly]]]:
+        """Each stored column as (w, read-only {y: P_{y,w}}), in index order of w."""
+        for w in sorted(self._columns, key=lambda w: w.index):
+            yield w, MappingProxyType(self._columns[w])
 
     @property
     def entries(self) -> Mapping[tuple[WeylElem, WeylElem], LaurentPoly]:
@@ -264,6 +274,7 @@ class HeckeAlgebra:
 
     def expand_in_kl_basis(self, a: HeckeElem) -> dict[WeylElem, LaurentPoly]:
         """Coefficients of a in the C basis, by triangular elimination."""
+        HeckeElem.check_group(self.group, a)
         rest = dict(a._c)
         out: dict[WeylElem, LaurentPoly] = {}
         while rest:

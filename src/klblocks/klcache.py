@@ -6,14 +6,25 @@ produces byte-identical files.  A record for the pair ``(w, w)`` marks
 the column of ``w`` as fully computed, which lets a reloaded table be
 used without re-running the recursion for that column.
 
+Both directions take one pass over the records.  A table has far fewer
+distinct words and polynomials than entries (F4: 1 152 words and 313
+polynomials in 396 809 entries), so the saver packs each element's word
+and each distinct coefficient block once, and the loader decodes each
+distinct type string, word and coefficient block once.  Every record
+with the same coefficient block stores the same ``LaurentPoly`` object,
+which is immutable, so a loaded table keeps one object per distinct
+polynomial.
+
 Loading is all or nothing: every record of the requested type is decoded
 and validated before any is stored, so a file that fails leaves the
-caller's table as it was.  A record is rejected with ``ValueError`` unless
-both words are reduced, ``P_{w,w} = 1``, and for ``y != w`` all of
-``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1``, ``P_{y,w}(0) = 1`` and
-``y <= w`` in Bruhat order hold.  A column holds exactly the ``y <= w``,
-so a record outside that support would turn ``HeckeAlgebra.mu``'s
-refusal into an answer.
+caller's table as it was.  A file cut inside a record, or a type string
+that is not UTF-8, is rejected with ``ValueError``.  So is a record of
+the requested type unless both words are reduced, ``P_{w,w} = 1``, and
+for ``y != w`` all of ``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1``,
+``P_{y,w}(0) = 1`` and ``y <= w`` in Bruhat order hold; these checks
+run on every record, shared block or not.  A column holds exactly the
+``y <= w``, so a record outside that support would turn
+``HeckeAlgebra.mu``'s refusal into an answer.
 
 Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
@@ -40,7 +51,6 @@ if TYPE_CHECKING:
 __all__ = ["save_kl_table", "load_kl_table", "cache_path"]
 
 _MAGIC = b"KLT1"
-_U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 
 
@@ -48,8 +58,8 @@ def cache_path(directory: str, kind: str) -> str:
     return os.path.join(directory, f"{kind}.klt")
 
 
-def _dense_coeffs(poly: LaurentPoly) -> list[int]:
-    pairs = poly.items()
+def _dense_coeffs(pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """The coefficients of q^0 .. q^deg from sorted (exponent, coefficient) pairs."""
     if not pairs:
         return []
     if pairs[0][0] < 0:
@@ -60,25 +70,25 @@ def _dense_coeffs(poly: LaurentPoly) -> list[int]:
     return out
 
 
-def _pack_word(word: tuple[int, ...]) -> bytes:
-    return struct.pack(f"<B{len(word)}B", len(word), *word)
-
-
 def save_kl_table(table: KLTable, path: str) -> int:
     """Write every entry of the table; returns the record count."""
     kind_bytes = table.kind.encode()
-    records = sorted(
-        table.entries.items(),
-        key=lambda item: (item[0][1].index, item[0][0].index),
-    )
+    head = bytes((len(kind_bytes),)) + kind_bytes
+    words = {}  # element index -> its length byte and letters
+    blocks = {}  # polynomial's (exponent, coefficient) pairs -> its u16 count and i64s
     blob = [_MAGIC]
-    for (y, w), poly in records:
-        coeffs = _dense_coeffs(poly)
-        blob.append(struct.pack("<B", len(kind_bytes)))
-        blob.append(kind_bytes)
-        blob.append(_pack_word(y.word))
-        blob.append(_pack_word(w.word))
-        blob.append(struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs))
+    for w, column in table.columns():
+        wb = words[w.index] = bytes((w.length, *w.word))
+        for y, poly in sorted(column.items(), key=lambda item: item[0].index):
+            yb = words.get(y.index)
+            if yb is None:
+                yb = words[y.index] = bytes((y.length, *y.word))
+            pairs = poly.items()
+            cb = blocks.get(pairs)
+            if cb is None:
+                coeffs = _dense_coeffs(pairs)
+                cb = blocks[pairs] = struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs)
+            blob += (head, yb, wb, cb)
     data = b"".join(blob)
     # A temp file of its own in the target directory: concurrent saves
     # never share it, and os.replace swaps the finished file in at once.
@@ -95,33 +105,10 @@ def save_kl_table(table: KLTable, path: str) -> int:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return len(records)
+    return len(blob) // 4
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, layout: struct.Struct):
-        if self.pos + layout.size > len(self.data):
-            raise ValueError("truncated cache file")
-        values = layout.unpack_from(self.data, self.pos)
-        self.pos += layout.size
-        return values
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated cache file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def done(self) -> bool:
-        return self.pos >= len(self.data)
-
-
-def _record_problem(y, w, ylen: int, wlen: int, coeffs, terms) -> str:
+def _record_problem(y, w, ylen: int, wlen: int, coeffs, degree: int) -> str:
     """Why a decoded record cannot be an entry P_{y,w}; empty if it can."""
     if y.length != ylen or w.length != wlen:
         return "word is not reduced"
@@ -129,7 +116,7 @@ def _record_problem(y, w, ylen: int, wlen: int, coeffs, terms) -> str:
         return "" if coeffs == (1,) else "P_{w,w} is not 1"
     if y.length >= w.length:
         return "l(y) >= l(w)"
-    if 2 * max(terms, default=0) > w.length - y.length - 1:
+    if 2 * degree > w.length - y.length - 1:
         return "degree of P_{y,w} too high"
     if coeffs[:1] != (1,):
         return "constant term of P_{y,w} is not 1"
@@ -149,28 +136,57 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
         data = handle.read()
     if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not a KL table cache")
-    reader = _Reader(data)
-    reader.take_bytes(4)
     group = hecke.group
     kind = group.datum.kind
-    records = []
-    while not reader.done():
-        (klen,) = reader.take(_U8)
-        record_kind = reader.take_bytes(klen).decode()
-        (ylen,) = reader.take(_U8)
-        yword = reader.take_bytes(ylen)  # iterates as the letters
-        (wlen,) = reader.take(_U8)
-        wword = reader.take_bytes(wlen)
-        (ncoeff,) = reader.take(_U16)
-        coeffs = struct.unpack(f"<{ncoeff}q", reader.take_bytes(8 * ncoeff))
+    kinds: dict[bytes, str] = {}
+    words = {}  # letters -> element
+    blocks = {}  # i64 coefficients -> (coeffs, degree, poly)
+    columns = {}  # the validated records, {w: {y: P_{y,w}}}
+    column_of = column = None
+    count = 0
+    end, pos = len(data), 4
+    while pos < end:
+        # Offsets of the y length byte, the w length byte and the coefficient
+        # count: a read past the end raises, as does a record ending past it.
+        try:
+            at_y = pos + 1 + data[pos]
+            at_w = at_y + 1 + data[at_y]
+            at_n = at_w + 1 + data[at_w]
+            (ncoeff,) = _U16.unpack_from(data, at_n)
+        except (IndexError, struct.error):
+            raise ValueError(f"{path}: truncated cache file") from None
+        kind_bytes, pos = data[pos + 1:at_y], at_n + 2 + 8 * ncoeff
+        if pos > end:
+            raise ValueError(f"{path}: truncated cache file")
+        record_kind = kinds.get(kind_bytes)
+        if record_kind is None:
+            try:
+                record_kind = kinds[kind_bytes] = kind_bytes.decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: type string {kind_bytes!r} is not UTF-8") from None
         if record_kind != kind:
             continue
-        y, w = group.word_elem(yword), group.word_elem(wword)
-        terms = {e: c for e, c in enumerate(coeffs) if c}
-        problem = _record_problem(y, w, ylen, wlen, coeffs, terms)
+        yword, wword = data[at_y + 1:at_w], data[at_w + 1:at_n]  # iterate as letters
+        y = words.get(yword)
+        if y is None:
+            y = words[yword] = group.word_elem(yword)
+        w = words.get(wword)
+        if w is None:
+            w = words[wword] = group.word_elem(wword)
+        block = data[at_n + 2:pos]
+        decoded = blocks.get(block)
+        if decoded is None:
+            coeffs = struct.unpack(f"<{len(block) // 8}q", block)
+            terms = {e: c for e, c in enumerate(coeffs) if c}
+            poly = LaurentPoly._normalized(terms)
+            decoded = blocks[block] = (coeffs, max(terms, default=0), poly)
+        coeffs, degree, poly = decoded
+        problem = _record_problem(y, w, len(yword), len(wword), coeffs, degree)
         if problem:
             raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: {problem}")
-        records.append((y, w, LaurentPoly._normalized(terms)))
-    for y, w, poly in records:
-        hecke.kl_table.put(y, w, poly)
-    return len(records)
+        if w is not column_of:
+            column_of, column = w, columns.setdefault(w, {})
+        column[y] = poly
+        count += 1
+    hecke.kl_table.merge(columns)
+    return count

@@ -137,11 +137,6 @@ class RootDatum:
         coords = tuple(1 if j == i - 1 else 0 for j in range(self.rank))
         return self.pos_roots.index(coords)
 
-    def coroot_pairing(self, weight: Sequence[int], root_index: int) -> int:
-        """<weight, beta^vee> for the positive root numbered root_index."""
-        d = self.pos_coroots[root_index]
-        return sum(w * di for w, di in zip(weight, d))
-
     def root_support(self, root_index: int) -> frozenset[int]:
         """1-based simple indices appearing in the root's expansion."""
         return frozenset(

@@ -287,6 +287,7 @@ class CoinvariantAlgebra:
 
     def chevalley_multiply(self, i: int, a: SchubertElem) -> SchubertElem:
         """X_{s_i} * a by the Chevalley rule over lengthening reflections."""
+        SchubertElem.check_group(self.group, a)
         datum = self.group.datum
         coeffs: dict[WeylElem, Fraction] = {}
         for w, c in a.items():
@@ -303,10 +304,12 @@ class CoinvariantAlgebra:
 
     def trace(self, a: SchubertElem) -> Fraction:
         """Coefficient of the top class X_{w0}."""
+        SchubertElem.check_group(self.group, a)
         return a.coefficient(self.group.w0)
 
     def trace_parabolic(self, subset: Iterable[int], a: SchubertElem) -> Fraction:
         """Coefficient of X_{d_J} for elements supported on W^J."""
+        SchubertElem.check_group(self.group, a)
         J = frozenset(subset)
         reps = set(self.group.min_coset_reps(J))
         if any(w not in reps for w in a.support()):

@@ -211,3 +211,87 @@ def test_failed_save_leaves_no_temp_file(tmp_path, a2, monkeypatch):
     with pytest.raises(OSError):
         save_kl_table(full_table(HeckeAlgebra(a2)), cache_path(tmp_path, "A2"))
     assert list(tmp_path.iterdir()) == []
+
+
+def _record_ends(data):
+    """Offset just past each record, read off the layout independently of the loader."""
+    ends, pos = [], 4
+    while pos < len(data):
+        pos += 1 + data[pos]
+        pos += 1 + data[pos]
+        pos += 1 + data[pos]
+        pos += 2 + 8 * struct.unpack_from("<H", data, pos)[0]
+        ends.append(pos)
+    assert pos == len(data)
+    return ends
+
+
+def test_every_cut_inside_a_record_merges_nothing(tmp_path, b2):
+    # A cut at a record boundary is a shorter valid file; anywhere else it
+    # leaves a partial record, which must fail with nothing merged.
+    path = Path(cache_path(tmp_path, "B2"))
+    save_kl_table(full_table(HeckeAlgebra(b2)), path)
+    data = path.read_bytes()
+    ends = _record_ends(data)
+    for cut in range(4, len(data)):
+        path.write_bytes(data[:cut])
+        target = HeckeAlgebra(weyl_group("B2"))
+        if cut == 4 or cut in ends:
+            assert load_kl_table(path, target) == len([e for e in ends if e <= cut])
+            continue
+        with pytest.raises(ValueError, match="truncated"):
+            load_kl_table(path, target)
+        assert len(target.kl_table) == 0, cut
+
+
+@pytest.mark.parametrize("tail, problem", [
+    (b"\x02A\xff" + _record((1,), (1,), (1,))[3:], "not UTF-8"),
+    (_record((3,), (3,), (1,)), "out of range"),
+], ids=["type-not-utf8", "letter-out-of-range"])
+def test_bad_record_after_valid_ones_merges_nothing(tmp_path, a2, tail, problem):
+    path = Path(cache_path(tmp_path, "A2"))
+    save_kl_table(full_table(HeckeAlgebra(a2)), path)
+    path.write_bytes(path.read_bytes() + tail)
+    target = HeckeAlgebra(weyl_group("A2"))
+    with pytest.raises(ValueError, match=problem):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+
+
+def test_bad_record_sharing_a_valid_block_merges_nothing(tmp_path, a3):
+    # P_{s2, s2s1s3s2} = 1 + q, so the block (1, 1) is decoded before the
+    # appended record reuses it for a pair whose degree bound is 0.
+    hecke = HeckeAlgebra(a3)
+    assert hecke.kl_polynomial(a3.simple(2), a3.word_elem((2, 1, 3, 2))).items() == ((0, 1), (1, 1))
+    path = Path(cache_path(tmp_path, "A3"))
+    save_kl_table(full_table(hecke), path)
+    path.write_bytes(path.read_bytes() + _record((1,), (1, 2), (1, 1), kind="A3"))
+    target = HeckeAlgebra(weyl_group("A3"))
+    with pytest.raises(ValueError, match="degree"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+
+
+def test_concatenated_types_each_load_their_own_records(tmp_path):
+    tables = {kind: full_table(HeckeAlgebra(weyl_group(kind))) for kind in ("A1", "A2")}
+    data = b"KLT1"
+    for kind, table in tables.items():
+        path = Path(cache_path(tmp_path, kind))
+        save_kl_table(table, path)
+        data += path.read_bytes()[4:]
+    both = tmp_path / "both.klt"
+    both.write_bytes(data)
+    for kind, table in tables.items():
+        target = HeckeAlgebra(weyl_group(kind))
+        assert load_kl_table(both, target) == len(table) == len(target.kl_table)
+        assert dict(target.kl_table.entries) == dict(table.entries)
+    assert load_kl_table(both, HeckeAlgebra(weyl_group("B2"))) == 0
+
+
+def test_loaded_equal_polynomials_are_one_object(tmp_path, b3):
+    path = Path(cache_path(tmp_path, "B3"))
+    save_kl_table(full_table(HeckeAlgebra(b3)), path)
+    target = HeckeAlgebra(weyl_group("B3"))
+    load_kl_table(path, target)
+    polys = list(target.kl_table.entries.values())
+    assert len({id(p) for p in polys}) == len(set(polys)) > 1

@@ -11,6 +11,7 @@ from klblocks import (
     RatPoly,
     coinvariant_algebra,
     divide_by_linear,
+    hecke_algebra,
     weyl_group,
 )
 from klblocks.checks import _rand_poly
@@ -291,6 +292,24 @@ def test_operands_from_another_group_are_rejected():
     z = other.schubert_class(a2.group.simple(2))
     assert x + z == a2.schubert_class(a2.group.simple(2)) + x
     assert x * z == a2.multiply(x, a2.schubert_class(a2.group.simple(2)))
+
+
+def test_element_methods_refuse_another_group():
+    # Each of these used to read a B2 element's indices as A2 ones: a
+    # Schubert class outside A2, a zero trace, or a bare IndexError.
+    coinv, hecke = coinvariant_algebra("A2"), hecke_algebra("A2")
+    x = coinvariant_algebra("B2").schubert_class(weyl_group("B2").simple(2))
+    top = coinvariant_algebra("B2").schubert_class(weyl_group("B2").w0)
+    t = hecke_algebra("B2").t(weyl_group("B2").w0)
+    cases = [
+        (lambda: coinv.chevalley_multiply(1, x), "coinvariant algebra of B2"),
+        (lambda: coinv.trace(top), "coinvariant algebra of B2"),
+        (lambda: coinv.trace_parabolic({1}, top), "coinvariant algebra of B2"),
+        (lambda: hecke.expand_in_kl_basis(t), "Hecke algebra of B2"),
+    ]
+    for op, message in cases:
+        with pytest.raises(ValueError, match=message):
+            op()
 
 
 @pytest.mark.parametrize("kind", ["A2", "B2", "G2", "B3"])
