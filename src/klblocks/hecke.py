@@ -60,7 +60,7 @@ class KLTable:
         self._columns.setdefault(w, {})[y] = p
 
     def merge(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
-        """put every entry of {w: {y: P_{y,w}}}, a column at a time."""
+        """Store every entry of {w: {y: P_{y,w}}} as put would, a column at a time."""
         for w, column in columns.items():
             self._columns.setdefault(w, {}).update(column)
 

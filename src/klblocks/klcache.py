@@ -138,7 +138,7 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
         raise ValueError(f"{path}: not a KL table cache")
     group = hecke.group
     kind = group.datum.kind
-    kinds: dict[bytes, str] = {}
+    kinds = {}  # type string bytes -> str
     words = {}  # letters -> element
     blocks = {}  # i64 coefficients -> (coeffs, degree, poly)
     columns = {}  # the validated records, {w: {y: P_{y,w}}}
