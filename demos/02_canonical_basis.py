@@ -40,12 +40,13 @@ print("mu(e, 2) =", hecke.mu(group.identity, s2))
 # Every column obeys the degree bound deg P_{y,w} <= (l(w)-l(y)-1)/2.
 hecke.kl_basis_elements()
 worst = 0
-for (yy, ww), poly in hecke.kl_table.entries.items():
-    if yy is ww or poly.is_zero():
-        continue
-    slack = (ww.length - yy.length - 1) // 2 - poly.max_exp()
-    worst = max(worst, poly.max_exp())
-    assert slack >= 0
+for ww, column in hecke.kl_table.columns():
+    for yy, poly in column.items():
+        if yy is ww:
+            continue
+        slack = (ww.length - yy.length - 1) // 2 - poly.max_exp()
+        worst = max(worst, poly.max_exp())
+        assert slack >= 0
 print()
 print("all", len(hecke.kl_table), "stored polynomials respect the degree",
       "bound; largest degree seen:", worst)

@@ -45,7 +45,7 @@ _EXPORTS = {
     "hecke": ("HeckeAlgebra", "HeckeElem", "KLTable"),
     "klcache": ("cache_path", "load_kl_table", "save_kl_table"),
     "laurent": ("LaurentPoly",),
-    "linalg": ("det", "rank", "rref", "solve"),
+    "linalg": ("rank", "rref", "solve"),
     "ratpoly": ("NonDivisibleError", "RatPoly", "divide_by_linear"),
     "roots": ("RootDatum", "UnknownTypeError", "build_root_system", "cartan_matrix"),
     "schubert": (

@@ -922,9 +922,10 @@ class _Suite:
             read = klcache.load_kl_table(path, fresh)
             if wrote != read:
                 raise _Fail(f"{wrote} vs {read}")
-            for (y, w), poly in h.kl_table.entries.items():
-                if fresh.kl_table.get(y, w) != poly:
-                    raise _Fail(f"{y!r},{w!r}")
+            loaded = dict(fresh.kl_table.columns())
+            for w, column in h.kl_table.columns():
+                if loaded.get(w) != column:
+                    raise _Fail(f"column {w!r}")
             if fresh.kl_element(group.w0) != h.kl_element(group.w0):
                 raise _Fail("rebuild")
         return f"{wrote} records"

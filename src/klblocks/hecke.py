@@ -23,11 +23,12 @@ max l(y) (or max l(w)) keeps every exponent >= 1 before each step, so
 its division by v is exact.
 
 The KLTable is the only store of KL data: columns {w: {y: P_{y,w}}} in
-q = v^2.  The C_w recursion runs on those columns in q, and C_w is read
-off the column of w when asked for; nothing keeps C_w itself.  A table
-entry for (w, w) marks the whole column of w as known, which is what
-lets a table be reloaded from disk and reused without recursion.
-Tables are safe to share across threads only because entries are
+q = v^2, each stored whole by ``KLTable.store`` or not at all.  A stored
+column holds P_{y,w} for exactly the y <= w, whether the recursion
+computed it or ``klcache`` loaded it, so a reloaded table is used without
+recursion.  The C_w recursion runs on those columns in q, and C_w is read
+off the column of w when asked for; nothing keeps C_w itself.  Tables
+are safe to share across threads only because columns are
 deterministic; confine a table to one thread if that bothers you.
 """
 
@@ -52,23 +53,17 @@ class KLTable:
         self.kind = kind
         self._columns: dict[WeylElem, dict[WeylElem, LaurentPoly]] = {}
 
-    def get(self, y: WeylElem, w: WeylElem) -> LaurentPoly | None:
-        column = self._columns.get(w)
-        return column.get(y) if column is not None else None
-
-    def put(self, y: WeylElem, w: WeylElem, p: LaurentPoly) -> None:
-        self._columns.setdefault(w, {})[y] = p
-
-    def merge(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
-        """Store every entry of {w: {y: P_{y,w}}} as put would, a column at a time."""
+    def store(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
+        """Store each column {y: P_{y,w}} of {w: column} whole, in place of any stored one."""
         for w, column in columns.items():
-            self._columns.setdefault(w, {}).update(column)
+            self._columns[w] = dict(column)
 
     def column_complete(self, w: WeylElem) -> bool:
-        return w in self._columns.get(w, _EMPTY)
+        """Whether w has a stored column."""
+        return w in self._columns
 
     def column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
-        """Read-only view of the stored entries {y: P_{y,w}}."""
+        """Read-only view of the stored column {y: P_{y,w}}; empty if there is none."""
         column = self._columns.get(w)
         return MappingProxyType(column) if column is not None else _EMPTY
 
@@ -76,13 +71,6 @@ class KLTable:
         """Each stored column as (w, read-only {y: P_{y,w}}), in index order of w."""
         for w in sorted(self._columns, key=lambda w: w.index):
             yield w, MappingProxyType(self._columns[w])
-
-    @property
-    def entries(self) -> Mapping[tuple[WeylElem, WeylElem], LaurentPoly]:
-        """Every entry as a read-only {(y, w): P_{y,w}} snapshot."""
-        return MappingProxyType({
-            (y, w): p for w, column in self._columns.items() for y, p in column.items()
-        })
 
     def __len__(self) -> int:
         return sum(len(column) for column in self._columns.values())
@@ -227,7 +215,7 @@ class HeckeAlgebra:
         if table.column_complete(w):
             return
         if w.length == 0:
-            table.put(w, w, _ONE)
+            table.store({w: {w: _ONE}})
             return
         shift, elems = self.group.left[self._pick_descent(w) - 1], self.group.elements
         v = elems[shift[w.index]]
@@ -247,14 +235,11 @@ class HeckeAlgebra:
                     _accumulate(acc, z, c * minus_m)
         if acc.get(w) != _ONE:
             raise ArithmeticError(f"C_{w!r} is not unitriangular")
-        for y, p in acc.items():
-            if not p.is_zero():
-                table.put(y, w, p)
+        table.store({w: {y: p for y, p in acc.items() if not p.is_zero()}})
 
     def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
         """P_{y,w} as a polynomial in q; zero when y is not below w."""
-        self._complete_column(w)
-        return self.kl_table.get(y, w) or LaurentPoly.zero()
+        return self.kl_column(w).get(y) or LaurentPoly.zero()
 
     def kl_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
         """Read-only {y: P_{y,w}} over the y <= w: exactly the nonzero P_{y,w}."""

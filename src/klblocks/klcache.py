@@ -2,9 +2,8 @@
 
 One file holds the computed table for one or more Weyl group types.
 Records are length-prefixed and sorted, so saving the same table twice
-produces byte-identical files.  A record for the pair ``(w, w)`` marks
-the column of ``w`` as fully computed, which lets a reloaded table be
-used without re-running the recursion for that column.
+produces byte-identical files.  The records of a type are its stored
+columns, each whole: one record per ``y <= w`` in the column of ``w``.
 
 Both directions take one pass over the records.  A table has far fewer
 distinct words and polynomials than entries (F4: 1 152 words and 313
@@ -16,15 +15,18 @@ which is immutable, so a loaded table keeps one object per distinct
 polynomial.
 
 Loading is all or nothing: every record of the requested type is decoded
-and validated before any is stored, so a file that fails leaves the
-caller's table as it was.  A file cut inside a record, or a type string
-that is not UTF-8, is rejected with ``ValueError``.  So is a record of
-the requested type unless both words are reduced, ``P_{w,w} = 1``, and
-for ``y != w`` all of ``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1``,
-``P_{y,w}(0) = 1`` and ``y <= w`` in Bruhat order hold; these checks
-run on every record, shared block or not.  A column holds exactly the
-``y <= w``, so a record outside that support would turn
-``HeckeAlgebra.mu``'s refusal into an answer.
+and validated, and its columns checked whole, before any is stored, so a
+file that fails leaves the caller's table as it was.  A file cut inside
+a record, or a type string that is not UTF-8, is rejected with
+``ValueError``.  So is a record of the requested type unless both words
+are reduced, ``P_{w,w} = 1``, and for ``y != w`` all of
+``l(y) < l(w)``, ``2 deg P <= l(w) - l(y) - 1`` and ``P_{y,w}(0) = 1``
+hold; these checks run on every record, shared block or not.  So is a
+repeated ``(y, w)`` record, and a column whose support is not exactly
+the Bruhat interval ``[e, w]``: a record outside it would turn
+``HeckeAlgebra.mu``'s refusal into an answer, and a missing one (a file
+cut at a record boundary inside a column, say) would read as
+``P_{y,w} = 0``.
 
 Record layout (little-endian), after the 4-byte magic ``KLT1``:
 
@@ -41,12 +43,11 @@ import contextlib
 import os
 import struct
 import tempfile
-from typing import TYPE_CHECKING
-
-from .laurent import LaurentPoly
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .hecke import HeckeAlgebra, KLTable
+    from .weyl import WeylGroup
 
 __all__ = ["save_kl_table", "load_kl_table", "cache_path"]
 
@@ -120,18 +121,34 @@ def _record_problem(y, w, ylen: int, wlen: int, coeffs, degree: int) -> str:
         return "degree of P_{y,w} too high"
     if coeffs[:1] != (1,):
         return "constant term of P_{y,w} is not 1"
-    if not w.group.bruhat_leq(y, w):
-        return "y is not below w in Bruhat order"
     return ""
 
 
+def _lower_intervals(group: WeylGroup, indices: Iterable[int]) -> dict[int, frozenset[int]]:
+    """{x: the indices of [e, x]} over ``group.suffix_closure(indices)``.
+
+    One walk up the tree of canonical words: with s the first letter of
+    x's word and v = s x < x, the lifting property gives
+    [e, x] = [e, v] | s [e, v] (V. Deodhar, Invent. Math. 39 (1977)).
+    """
+    left, elems = group.left, group.elements
+    intervals = {0: frozenset((0,))}
+    for x in group.suffix_closure(indices)[1:]:
+        row = left[elems[x].word[0] - 1]
+        below = intervals[row[x]]
+        intervals[x] = below.union([row[y] for y in below])
+    return intervals
+
+
 def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
-    """Merge records for the algebra's type into its table.
+    """Store the columns of the algebra's type in its table.
 
     Records for other types in the same file are skipped.  Returns the
-    number of records loaded; raises ``ValueError``, with nothing merged,
-    if the file is malformed or any record fails validation.
+    number of records loaded; raises ``ValueError``, with nothing stored,
+    if the file is malformed or any record or column fails validation.
     """
+    from .laurent import LaurentPoly
+
     with open(path, "rb") as handle:
         data = handle.read()
     if data[:4] != _MAGIC:
@@ -186,7 +203,20 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
             raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: {problem}")
         if w is not column_of:
             column_of, column = w, columns.setdefault(w, {})
+        if y in column:
+            raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: repeated record")
         column[y] = poly
         count += 1
-    hecke.kl_table.merge(columns)
+    intervals = _lower_intervals(group, (w.index for w in columns))
+    for w, column in columns.items():
+        support, interval = {y.index for y in column}, intervals[w.index]
+        if support != interval:
+            if support - interval:
+                y = group.elements[min(support - interval)]
+                raise ValueError(f"{path}: record y={y.word} w={w.word}: "
+                                 "y is not below w in Bruhat order")
+            y = group.elements[min(interval - support)]
+            raise ValueError(f"{path}: column w={w.word}: no record for y={y.word}, "
+                             "which is below w in Bruhat order")
+    hecke.kl_table.store(columns)
     return count

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["rref", "rank", "det", "solve"]
+__all__ = ["rref", "rank", "solve"]
 
 Matrix = list[list[Fraction]]
 
@@ -47,28 +47,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    m = _copy(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a nonsquare matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .laurent import LaurentPoly
-
 if TYPE_CHECKING:
     from .blocks import GradedMatrix
+    from .laurent import LaurentPoly
     from .weyl import WeylElem, WeylGroup
 
 __all__ = [
@@ -96,6 +95,7 @@ def matrix_from_json(text: str, group: WeylGroup) -> GradedMatrix:
     import json
 
     from .blocks import GradedMatrix
+    from .laurent import LaurentPoly
 
     payload = json.loads(text)
     rows = tuple(group.word_elem(word) for word in payload["rows"])
@@ -121,6 +121,7 @@ def matrix_to_csv(m: GradedMatrix) -> str:
 
 def matrix_from_csv(text: str, group: WeylGroup) -> GradedMatrix:
     from .blocks import GradedMatrix
+    from .laurent import LaurentPoly
 
     lines = [line for line in text.strip().splitlines() if line]
     if not lines or lines[0].split(",")[0] != "w":

@@ -12,12 +12,12 @@ from klblocks import (
     bott_samelson_decomposition,
     coinvariant_algebra,
     decomposition_matrix,
-    det,
     graded_cartan_matrix,
     graded_length_report,
     hecke_algebra,
     inverse_decomposition_matrix,
     parabolic_case_decomposition,
+    rank,
     singular_case_decomposition,
     standard_block,
     translation_composite,
@@ -142,7 +142,7 @@ def test_criterion_05_symmetrizing_forms(criterion):
             coinv = coinvariant_algebra(kind)
             for J in subsets_of(group):
                 reps, gram = coinv.gram_matrix(J)
-                assert det([list(row) for row in gram]) != 0
+                assert rank([list(row) for row in gram]) == len(gram)
                 if J:
                     continue
                 assert reps == group.elements

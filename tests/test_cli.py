@@ -386,16 +386,16 @@ def _loaded_modules(argv, env):
 
 
 # What every command loads: the front end, the group and the renderers.
-_CLI_CORE = {"klblocks.cli", "klblocks.klcache", "klblocks.laurent", "klblocks.roots",
-             "klblocks.serialize", "klblocks.weyl"}
+_CLI_CORE = {"klblocks.cli", "klblocks.klcache", "klblocks.roots", "klblocks.serialize",
+             "klblocks.weyl"}
 
 
 @pytest.mark.parametrize("argv, layers", [
     (["weyl", "--type", "A2"], set()),
-    (["kl", "--type", "A2", "--y", "1", "--w", "1,2"], {"hecke"}),
-    (["cartan", "--type", "A2"], {"hecke", "blocks"}),
-    (["vp-dims", "--type", "A2", "--J", "1"], {"hecke", "blocks"}),
-    (["translate", "--type", "A2", "--J", "1", "--x", "e"], {"hecke", "blocks"}),
+    (["kl", "--type", "A2", "--y", "1", "--w", "1,2"], {"hecke", "laurent"}),
+    (["cartan", "--type", "A2"], {"hecke", "blocks", "laurent"}),
+    (["vp-dims", "--type", "A2", "--J", "1"], {"hecke", "blocks", "laurent"}),
+    (["translate", "--type", "A2", "--J", "1", "--x", "e"], {"hecke", "blocks", "laurent"}),
 ], ids=["weyl", "kl", "cartan", "vp-dims", "translate"])
 def test_table_command_loads_only_its_layers(child_env, argv, layers):
     # no dataclasses, inspect, fractions or json either

@@ -113,41 +113,47 @@ def test_descent_rule_independence(a3):
 def test_b3_full_table_size(hecke_b3, b3):
     hecke_b3.kl_basis_elements()
     table = hecke_b3.kl_table
-    assert len(table.entries) == 847
+    assert len(table) == 847
     for w in b3.elements:
         assert table.column_complete(w)
     # every stored polynomial has natural coefficients and constant term 1
-    for (y, w), p in table.entries.items():
-        assert p.has_nonnegative_coeffs()
-        assert p.coefficient(0) == 1
+    for w, column in table.columns():
+        for p in column.values():
+            assert p.has_nonnegative_coeffs()
+            assert p.coefficient(0) == 1
 
 
 def test_kl_table_column_semantics(a2):
+    # a column is stored whole or not at all
     table = KLTable("A2")
     w = a2.word_elem((1, 2))
     assert not table.column_complete(w)
-    table.put(a2.identity, w, ONE)
-    assert not table.column_complete(w)
-    table.put(w, w, ONE)
+    assert dict(table.column(w)) == {} and len(table) == 0
+    given = {y: ONE for y in (a2.identity, a2.simple(1), a2.simple(2), w)}
+    table.store({w: given})
+    given.clear()
     assert table.column_complete(w)
-    col = table.column(w)
-    assert set(col) == {a2.identity, w}
+    assert set(table.column(w)) == {a2.identity, a2.simple(1), a2.simple(2), w}
+    assert len(table) == 4
+    assert not table.column_complete(a2.simple(1))
+    assert [u for u, _ in table.columns()] == [w]
 
 
 def test_degree_bound(hecke_b3, b3):
     hecke_b3.kl_basis_elements()
-    for (y, w), p in hecke_b3.kl_table.entries.items():
-        if y is w:
-            continue
-        bound = (w.length - y.length - 1) // 2
-        assert (p.max_exp() or 0) <= bound
+    for w, column in hecke_b3.kl_table.columns():
+        for y, p in column.items():
+            if y is w:
+                continue
+            bound = (w.length - y.length - 1) // 2
+            assert (p.max_exp() or 0) <= bound
 
 
 def test_recursion_rejects_a_column_that_is_not_unitriangular(a2):
     hecke = HeckeAlgebra(a2)
     e = a2.identity
     # A complete column of e with P_{e,e} = 2 gives P_{s,s} = 2.
-    hecke.kl_table.put(e, e, ONE + ONE)
+    hecke.kl_table.store({e: {e: ONE + ONE}})
     with pytest.raises(ArithmeticError, match="unitriangular"):
         hecke.kl_column(a2.simple(1))
     assert not hecke.kl_table.column_complete(a2.simple(1))

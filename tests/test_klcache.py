@@ -13,6 +13,8 @@ from klblocks import (
     save_kl_table,
     weyl_group,
 )
+from klblocks.checks import bruhat_closure_leq
+from klblocks.klcache import _lower_intervals
 
 
 def full_table(hecke):
@@ -36,10 +38,11 @@ def test_roundtrip(tmp_path, a2):
     target = HeckeAlgebra(weyl_group("A2"))
     merged = load_kl_table(path, target)
     assert merged == written
-    for (y, w), poly in table.entries.items():
-        got = target.kl_table.get(target.group.word_elem(y.word),
-                                  target.group.word_elem(w.word))
-        assert got == poly
+    loaded = {w.word: dict(column) for w, column in target.kl_table.columns()}
+    for w, column in table.columns():
+        assert loaded.pop(w.word) == {
+            target.group.word_elem(y.word): poly for y, poly in column.items()}
+    assert loaded == {}
     w0 = target.group.w0
     assert target.kl_table.column_complete(w0)
 
@@ -213,35 +216,85 @@ def test_failed_save_leaves_no_temp_file(tmp_path, a2, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _record_ends(data):
-    """Offset just past each record, read off the layout independently of the loader."""
-    ends, pos = [], 4
+def _records(data):
+    """(end offset, y word, w word) of each record, read off the layout
+    independently of the loader."""
+    records, pos = [], 4
     while pos < len(data):
         pos += 1 + data[pos]
+        yword = tuple(data[pos + 1:pos + 1 + data[pos]])
         pos += 1 + data[pos]
+        wword = tuple(data[pos + 1:pos + 1 + data[pos]])
         pos += 1 + data[pos]
         pos += 2 + 8 * struct.unpack_from("<H", data, pos)[0]
-        ends.append(pos)
+        records.append((pos, yword, wword))
     assert pos == len(data)
-    return ends
+    return records
 
 
 def test_every_cut_inside_a_record_merges_nothing(tmp_path, b2):
-    # A cut at a record boundary is a shorter valid file; anywhere else it
-    # leaves a partial record, which must fail with nothing merged.
+    # A cut at the end of a column is a shorter valid file.  Anywhere else
+    # it leaves a partial record, or a column without all of its records;
+    # either must fail with nothing merged.
     path = Path(cache_path(tmp_path, "B2"))
     save_kl_table(full_table(HeckeAlgebra(b2)), path)
     data = path.read_bytes()
-    ends = _record_ends(data)
+    records = _records(data)
+    ends = {end for end, _, _ in records}
+    column_ends = {end: count for count, (end, _, w) in enumerate(records, 1)
+                   if count == len(records) or records[count][2] != w}
     for cut in range(4, len(data)):
         path.write_bytes(data[:cut])
         target = HeckeAlgebra(weyl_group("B2"))
-        if cut == 4 or cut in ends:
-            assert load_kl_table(path, target) == len([e for e in ends if e <= cut])
+        if cut == 4 or cut in column_ends:
+            count = column_ends.get(cut, 0)
+            assert load_kl_table(path, target) == count == len(target.kl_table)
             continue
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="no record for" if cut in ends else "truncated"):
             load_kl_table(path, target)
         assert len(target.kl_table) == 0, cut
+
+
+def test_column_missing_a_record_merges_nothing(tmp_path, a2):
+    # Without its (e, w0) record, the column of w0 would read P_{e,w0} = 0.
+    path = Path(cache_path(tmp_path, "A2"))
+    save_kl_table(full_table(HeckeAlgebra(a2)), path)
+    data = path.read_bytes()
+    kept, start = [data[:4]], 4
+    for end, yword, wword in _records(data):
+        if (yword, wword) != ((), a2.w0.word):
+            kept.append(data[start:end])
+        start = end
+    assert len(kept) == 1 + 18
+    path.write_bytes(b"".join(kept))
+    target = HeckeAlgebra(weyl_group("A2"))
+    with pytest.raises(ValueError, match=re.escape("no record for y=()")):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+    assert target.kl_polynomial(a2.identity, a2.w0).items() == ((0, 1),)
+
+
+def test_repeated_record_merges_nothing(tmp_path, a3):
+    # P_{2, 2.1.3.2} = 1 + q.  A second record with P = 1 passes every
+    # per-record check; stored, it would make mu(2, 2.1.3.2) read 0.
+    y, w = a3.simple(2), a3.word_elem((2, 1, 3, 2))
+    path = Path(cache_path(tmp_path, "A3"))
+    save_kl_table(full_table(HeckeAlgebra(a3)), path)
+    path.write_bytes(path.read_bytes() + _record((2,), (2, 1, 3, 2), (1,), kind="A3"))
+    target = HeckeAlgebra(weyl_group("A3"))
+    with pytest.raises(ValueError, match="repeated record"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+    assert target.mu(y, w) == 1
+
+
+@pytest.mark.parametrize("kind", ["B3", "D4"])
+def test_lower_intervals_match_the_bruhat_closure(kind):
+    group = weyl_group(kind)
+    below = {w.index: set() for w in group.elements}
+    for x, y in bruhat_closure_leq(group):
+        below[y].add(x)
+    assert _lower_intervals(group, range(len(group.elements))) == below
 
 
 @pytest.mark.parametrize("tail, problem", [
@@ -284,7 +337,7 @@ def test_concatenated_types_each_load_their_own_records(tmp_path):
     for kind, table in tables.items():
         target = HeckeAlgebra(weyl_group(kind))
         assert load_kl_table(both, target) == len(table) == len(target.kl_table)
-        assert dict(target.kl_table.entries) == dict(table.entries)
+        assert list(target.kl_table.columns()) == list(table.columns())
     assert load_kl_table(both, HeckeAlgebra(weyl_group("B2"))) == 0
 
 
@@ -293,5 +346,5 @@ def test_loaded_equal_polynomials_are_one_object(tmp_path, b3):
     save_kl_table(full_table(HeckeAlgebra(b3)), path)
     target = HeckeAlgebra(weyl_group("B3"))
     load_kl_table(path, target)
-    polys = list(target.kl_table.entries.values())
+    polys = [p for _, column in target.kl_table.columns() for p in column.values()]
     assert len({id(p) for p in polys}) == len(set(polys)) > 1

@@ -1,8 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
-from klblocks.linalg import det, rank, rref, solve
+from klblocks.linalg import rank, rref, solve
 
 
 def test_rref_pivots():
@@ -17,15 +15,6 @@ def test_rank():
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([]) == 0
-
-
-def test_det():
-    assert det([[2]]) == 2
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert det([[1, 2], [2, 4]]) == 0
-    with pytest.raises(ValueError):
-        det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_solve_unique():
