@@ -15,7 +15,6 @@ from klblocks import (
     make_block,
     matrix_to_table,
     standard_block,
-    ungraded_specialization,
     vp_center,
     vp_graded_dimension,
     weyl_group,
@@ -38,9 +37,8 @@ print("product is the identity:", (d @ e).is_identity())
 
 # At v = 1 the entries become ordinary multiplicities; in A2 every one
 # of them is 0 or 1.
-d1, _ = ungraded_specialization(regular, hecke)
 print()
-print("multiplicities at v=1:", d1)
+print("multiplicities at v=1:", d.eval_at_one())
 
 # A singular block: the weight (-1,-2) sits on the wall J = {1}, so
 # Vermas are indexed by the three minimal coset representatives.

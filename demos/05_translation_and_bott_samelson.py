@@ -12,7 +12,6 @@ from klblocks import (
     hecke_algebra,
     standard_block,
     translate_onto_wall,
-    translate_out_of_wall,
     translation_composite,
     weyl_group,
 )
@@ -20,7 +19,6 @@ from klblocks.laurent import LaurentPoly
 
 group = weyl_group("B2")
 hecke = hecke_algebra("B2")
-regular = standard_block(group, (), ())
 
 
 def label(w):
@@ -33,8 +31,8 @@ for J in (frozenset({1}), frozenset({2})):
     c_wall = hecke.kl_element(w_wall)
     print(f"wall J = {sorted(J)}")
     for x in group.min_coset_reps(J):
-        down = translate_onto_wall(regular, wall, {x: LaurentPoly.one()})
-        composite = translation_composite(regular, wall, x)
+        down = translate_onto_wall(wall, {x: LaurentPoly.one()})
+        composite = translation_composite(wall, x)
         product = dict((hecke.t(x) * c_wall).items())
         terms = ", ".join(
             f"{p} [{label(y)}]"
@@ -51,7 +49,7 @@ for J in (frozenset({1}), frozenset({2})):
 # Bruhat order, and a graded dimension count pins the one shift.
 print("Bott-Samelson decompositions, one word per element:")
 for x in group.elements:
-    report = bott_samelson_decomposition(regular, hecke, x.word)
+    report = bott_samelson_decomposition(hecke, x.word)
     terms = ", ".join(
         f"{m} [{label(y)}]"
         for y, m in sorted(report.multiplicities.items(),

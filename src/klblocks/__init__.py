@@ -35,11 +35,9 @@ _EXPORTS = {
         "BSReport", "BlockDesc", "GradedMatrix", "NotAntidominantError",
         "NotReducedError", "UnsupportedBlockError", "bott_samelson_decomposition",
         "decomposition_matrix", "graded_cartan_matrix", "graded_length_report",
-        "inverse_decomposition_matrix", "make_block", "parabolic_case_decomposition",
-        "projective_verma_flag", "singular_case_decomposition", "standard_block",
+        "inverse_decomposition_matrix", "make_block", "standard_block",
         "standard_weight", "translate_onto_wall", "translate_out_of_wall",
-        "translation_composite", "ungraded_specialization", "vp_center",
-        "vp_graded_dimension",
+        "translation_composite", "vp_center", "vp_graded_dimension",
     ),
     "checks": ("CheckResult", "run_all_checks"),
     "hecke": ("HeckeAlgebra", "HeckeElem", "KLTable"),

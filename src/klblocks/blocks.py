@@ -10,6 +10,12 @@ canonical element order.
 Entries come from finite alternating sums of Kazhdan-Lusztig
 polynomials evaluated at v^-2 and shifted by length differences;
 everything stays in Z[v, v^-1] and is exact.
+
+Each matrix has one builder: d, e = d^-1 and c = d^T d.  The projective
+Verma flag d^T (BGG reciprocity) and the multiplicities d(1), e(1) at
+v = 1 need none, and the reference routes live in ``checks``.
+Bott-Samelson reports and translations start from the group's regular
+block, so no argument names it.
 """
 
 from __future__ import annotations
@@ -36,11 +42,7 @@ __all__ = [
     "decomposition_matrix",
     "inverse_decomposition_matrix",
     "graded_cartan_matrix",
-    "projective_verma_flag",
-    "singular_case_decomposition",
-    "parabolic_case_decomposition",
     "graded_length_report",
-    "ungraded_specialization",
     "vp_graded_dimension",
     "vp_center",
     "bott_samelson_decomposition",
@@ -74,11 +76,6 @@ class BlockDesc(NamedTuple):
     J: frozenset[int]
     w_I: WeylElem
     index_set: tuple[WeylElem, ...]
-
-    @property
-    def ordinary(self) -> bool:
-        """True when mu is regular, so no parabolic condition (I empty)."""
-        return not self.I
 
 
 def make_block(group: WeylGroup, lam: Sequence[int], mu: Sequence[int]) -> BlockDesc:
@@ -241,44 +238,6 @@ def graded_cartan_matrix(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
     return d.transpose() @ d
 
 
-def projective_verma_flag(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """Graded (P(x) : Verma(y)) multiplicities; BGG reciprocity makes
-    this the transpose of the decomposition matrix."""
-    return decomposition_matrix(block, hecke).transpose()
-
-
-def _decomposition_by_lookup(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """d evaluated one KL lookup per term: the reference for the column read."""
-    w0 = block.group.w0
-    z_elems = block.group.parabolic_elements(block.I)
-    rows = []
-    for x in block.index_set:
-        row = []
-        for y in block.index_set:
-            total = LaurentPoly.zero()
-            for z in z_elems:
-                p = hecke.kl_polynomial(z * block.w_I * x * w0, block.w_I * y * w0)
-                p = p.substitute_power(-2)
-                total = total + (-p if z.length % 2 else p)
-            row.append(total.shift(x.length - y.length))
-        rows.append(tuple(row))
-    return GradedMatrix(block.index_set, block.index_set, tuple(rows))
-
-
-def singular_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """Independent route for I = empty: single polynomial per entry."""
-    if block.I:
-        raise UnsupportedBlockError("direct route requires I = empty")
-    return _decomposition_by_lookup(block, hecke)
-
-
-def parabolic_case_decomposition(block: BlockDesc, hecke: HeckeAlgebra) -> GradedMatrix:
-    """Independent route for J = empty: alternating sum over W_I."""
-    if block.J:
-        raise UnsupportedBlockError("parabolic route requires J = empty")
-    return _decomposition_by_lookup(block, hecke)
-
-
 class GradedLengthRow(NamedTuple):
     x: WeylElem
     verma_top: int
@@ -315,15 +274,6 @@ def graded_length_report(block: BlockDesc, hecke: HeckeAlgebra) -> list[GradedLe
             projective_expected=proj_top - x.length,
         ))
     return out
-
-
-def ungraded_specialization(
-    block: BlockDesc, hecke: HeckeAlgebra
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Integer multiplicity matrices (d(1), e(1)) at v = 1."""
-    d = decomposition_matrix(block, hecke)
-    e = inverse_decomposition_matrix(block, hecke)
-    return d.eval_at_one(), e.eval_at_one()
 
 
 def vp_center(block: BlockDesc) -> int:
@@ -367,9 +317,7 @@ class BSReport(NamedTuple):
     natural_coeffs_ok: bool
 
 
-def bott_samelson_decomposition(
-    block: BlockDesc, hecke: HeckeAlgebra, word: Sequence[int]
-) -> BSReport:
+def bott_samelson_decomposition(hecke: HeckeAlgebra, word: Sequence[int]) -> BSReport:
     """Indecomposable multiplicities of a Bott-Samelson product.
 
     The product C_{s_{j1}} ... C_{s_{jk}} is expanded in the KL basis;
@@ -377,9 +325,7 @@ def bott_samelson_decomposition(
     identity against (1+v^2)^{l(x)} holds after one monomial shift v^s,
     recorded in the report (s = l(w0) - l(x) with these normalizations).
     """
-    if block.I or block.J:
-        raise UnsupportedBlockError("Bott-Samelson reports require a regular block")
-    group = block.group
+    group = hecke.group
     word = tuple(word)
     x = group.word_elem(word)
     if x.length != len(word):
@@ -393,10 +339,11 @@ def bott_samelson_decomposition(
     support_ok = all(group.bruhat_leq(y, x) for y in mults)
     natural_ok = all(m.has_nonnegative_coeffs() for m in mults.values())
 
+    regular = standard_block(group, (), ())
     w0 = group.w0
     total = LaurentPoly.zero()
     for y, m in mults.items():
-        total = total + m * vp_graded_dimension(block, hecke, y * w0)
+        total = total + m * vp_graded_dimension(regular, hecke, y * w0)
     target = (LaurentPoly.one() + LaurentPoly.gen(2)) ** len(word)
     shift = None
     identity_ok = False
@@ -417,43 +364,33 @@ def bott_samelson_decomposition(
     )
 
 
-def _check_translation_pair(reg: BlockDesc, sing: BlockDesc) -> None:
-    if reg.group is not sing.group:
-        raise ValueError("blocks live over different groups")
-    if reg.I or reg.J:
-        raise ValueError("source of the wall-crossing pair must be regular")
-    if sing.I:
+def _check_wall(wall: BlockDesc) -> None:
+    if wall.I:
         raise ValueError("wall-crossing is for ordinary blocks (I = empty)")
 
 
-def translate_onto_wall(
-    reg: BlockDesc, sing: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]
-) -> K0Vector:
-    """Translation onto the wall on Verma classes.
+def translate_onto_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) -> K0Vector:
+    """Translation from the regular block onto the wall, on Verma classes.
 
     [Verma(du . 0)] with d in W^J, u in W_J maps to v^{-l(u)} [Verma(d . lam)].
     """
-    _check_translation_pair(reg, sing)
-    group = reg.group
+    _check_wall(wall)
     out: K0Vector = {}
     for w, p in vec.items():
-        d, u = group.coset_factorize(w, sing.J)
+        d, u = wall.group.coset_factorize(w, wall.J)
         q = p * LaurentPoly.gen(-u.length)
         out[d] = out.get(d, LaurentPoly.zero()) + q
     return {w: p for w, p in out.items() if not p.is_zero()}
 
 
-def translate_out_of_wall(
-    sing: BlockDesc, reg: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]
-) -> K0Vector:
-    """Translation out of the wall on Verma classes.
+def translate_out_of_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) -> K0Vector:
+    """Translation out of the wall to the regular block, on Verma classes.
 
     [Verma(d . lam)] maps to sum over u in W_J of
     v^{l(u) - l(w_J)} [Verma(du . 0)].
     """
-    _check_translation_pair(reg, sing)
-    group = reg.group
-    w_elems = group.parabolic_elements(sing.J)
+    _check_wall(wall)
+    w_elems = wall.group.parabolic_elements(wall.J)
     top = w_elems[-1].length
     out: K0Vector = {}
     for d, p in vec.items():
@@ -464,9 +401,6 @@ def translate_out_of_wall(
     return {w: p for w, p in out.items() if not p.is_zero()}
 
 
-def translation_composite(
-    reg: BlockDesc, sing: BlockDesc, x: WeylElem
-) -> K0Vector:
+def translation_composite(wall: BlockDesc, x: WeylElem) -> K0Vector:
     """Out-of-wall following onto-wall applied to the class of Verma(x . 0)."""
-    onto = translate_onto_wall(reg, sing, {x: LaurentPoly.one()})
-    return translate_out_of_wall(sing, reg, onto)
+    return translate_out_of_wall(wall, translate_onto_wall(wall, {x: LaurentPoly.one()}))

@@ -329,13 +329,12 @@ def _cmd_vp_dims(args) -> int:
 
 
 def _cmd_bott_samelson(args) -> int:
-    from .blocks import bott_samelson_decomposition, standard_block
+    from .blocks import bott_samelson_decomposition
     from .hecke import HeckeAlgebra
 
     group = _group(args)
     hecke = HeckeAlgebra(group)
-    block = standard_block(group, (), ())
-    report = bott_samelson_decomposition(block, hecke, _parse_word(args.word))
+    report = bott_samelson_decomposition(hecke, _parse_word(args.word))
     if args.format == "json":
         payload = {
             "kind": group.kind,
@@ -380,14 +379,13 @@ def _cmd_translate(args) -> int:
 
     group = _group(args)
     hecke = HeckeAlgebra(group)
-    regular = standard_block(group, (), ())
     wall = standard_block(group, (), sorted(args.J))
     x = _element(group, args.x)
     if x not in wall.index_set:
         raise _UsageError(
             f"{word_label(x)} is not a minimal representative for J={sorted(args.J)}"
         )
-    composite = translation_composite(regular, wall, x)
+    composite = translation_composite(wall, x)
     target = hecke.t(x) * hecke.kl_element(group.parabolic_longest(args.J))
     agrees = dict(target.items()) == composite
     ordered = sorted(composite.items(), key=lambda kv: kv[0].index)

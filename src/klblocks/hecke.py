@@ -105,9 +105,11 @@ class HeckeAlgebra:
     # -- construction ------------------------------------------------
 
     def element(self, coeffs: Mapping[WeylElem, LaurentPoly]) -> HeckeElem:
+        self.group.check_elements(*coeffs)
         return HeckeElem(self, coeffs)
 
     def t(self, w: WeylElem) -> HeckeElem:
+        self.group.check_elements(w)
         return HeckeElem(self, {w: LaurentPoly.one()})
 
     @property
@@ -203,8 +205,9 @@ class HeckeAlgebra:
             for y, p in self.kl_column(w).items()
         })
 
-    def _complete_column(self, w: WeylElem) -> None:
-        """Compute the column {y: P_{y,w}} into the table, in q.
+    def _complete_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
+        """Compute the column {y: P_{y,w}} into the table, in q, if it is
+        not stored, and return its read-only view.
 
         With s a left descent of w and v = sw, C_w = (T_s + v^-1) C_v minus
         mu(y, v) C_y over the y < v with sy < y (Kazhdan-Lusztig 1979,
@@ -213,14 +216,14 @@ class HeckeAlgebra:
         """
         table = self.kl_table
         if table.column_complete(w):
-            return
+            return table.column(w)
         if w.length == 0:
             table.store({w: {w: _ONE}})
-            return
+            return table.column(w)
         shift, elems = self.group.left[self._pick_descent(w) - 1], self.group.elements
         v = elems[shift[w.index]]
         acc: dict[WeylElem, LaurentPoly] = {}
-        for y, p in self.kl_column(v).items():
+        for y, p in self._complete_column(v).items():
             sy = shift[y.index]
             down = sy < y.index
             qp = p.shift(1) if down else p
@@ -231,20 +234,22 @@ class HeckeAlgebra:
             m = p.coefficient((gap - 1) // 2) if down and gap % 2 else 0
             if m:
                 minus_m = LaurentPoly.term(-m, (gap + 1) // 2)
-                for z, c in self.kl_column(y).items():
+                for z, c in self._complete_column(y).items():
                     _accumulate(acc, z, c * minus_m)
         if acc.get(w) != _ONE:
             raise ArithmeticError(f"C_{w!r} is not unitriangular")
         table.store({w: {y: p for y, p in acc.items() if not p.is_zero()}})
+        return table.column(w)
 
     def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
         """P_{y,w} as a polynomial in q; zero when y is not below w."""
-        return self.kl_column(w).get(y) or LaurentPoly.zero()
+        self.group.check_elements(y, w)
+        return self._complete_column(w).get(y) or LaurentPoly.zero()
 
     def kl_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
         """Read-only {y: P_{y,w}} over the y <= w: exactly the nonzero P_{y,w}."""
-        self._complete_column(w)
-        return self.kl_table.column(w)
+        self.group.check_elements(w)
+        return self._complete_column(w)
 
     def mu(self, y: WeylElem, w: WeylElem) -> int:
         """Top-degree coefficient of P_{y,w}; needs y < w strictly.
@@ -252,6 +257,7 @@ class HeckeAlgebra:
         The column of w holds P_{y,w} for exactly the y <= w, so a zero
         P_{y,w} says y is not below w.
         """
+        self.group.check_elements(y, w)
         if y.length >= w.length or (p := self.kl_polynomial(y, w)).is_zero():
             raise ValueError("mu requires y strictly below w in Bruhat order")
         gap = w.length - y.length
@@ -275,7 +281,9 @@ class HeckeAlgebra:
 
     def kl_basis_elements(self, elems: Iterable[WeylElem] | None = None) -> None:
         """Complete the KL column of each given (default every) element."""
-        for w in elems if elems is not None else self.group.elements:
+        elems = self.group.elements if elems is None else tuple(elems)
+        self.group.check_elements(*elems)
+        for w in elems:
             self._complete_column(w)
 
 

@@ -280,6 +280,7 @@ class CoinvariantAlgebra:
         return SchubertElem(self, coeffs)
 
     def schubert_class(self, w: WeylElem) -> SchubertElem:
+        self.group.check_elements(w)
         return SchubertElem(self, {w: Fraction(1)})
 
     def multiply(self, a: SchubertElem, b: SchubertElem) -> SchubertElem:

@@ -283,6 +283,14 @@ class WeylGroup:
     def inverse(self, w: WeylElem) -> WeylElem:
         return self.elements[self._inverse[w.index]]
 
+    def check_elements(self, *elems: WeylElem) -> None:
+        """Raise ValueError for an element of another group."""
+        for w in elems:
+            if w.group is not self:
+                raise ValueError(
+                    f"element of the Weyl group of {w.group.kind} used in that of {self.kind}"
+                )
+
     def suffix_closure(self, indices: Iterable[int]) -> list[int]:
         """The indices with every x -> s_i x down from them, in index order.
 

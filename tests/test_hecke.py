@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from klblocks import HeckeAlgebra, KLTable, LaurentPoly, hecke_algebra, weyl_group
+from klblocks import (
+    HeckeAlgebra,
+    KLTable,
+    LaurentPoly,
+    hecke_algebra,
+    load_kl_table,
+    save_kl_table,
+    weyl_group,
+)
 from klblocks.checks import kl_bar_solve
 
 V = LaurentPoly.gen()
@@ -306,3 +314,43 @@ def test_operands_from_another_group_are_rejected():
     other = HeckeAlgebra(a2.group, descent_rule="max")
     assert x * other.t(a2.group.simple(2)) == a2.t(a2.group.word_elem((1, 2)))
     assert a2.bar(other.kl_element(a2.group.w0)) == a2.kl_element(a2.group.w0)
+
+
+# Each entry point takes an element x of another group next to A3's w0.  At
+# the index of x they used to read an A3 element: t(s1 of B2) * t(s2) gave
+# T_{s1 s2}, P_{x,w0} read 0, and kl_polynomial(e of A2, e of A2) read 1
+# and stored an A2 column in the A3 table.
+_FOREIGN_CALLS = {
+    "t": lambda h, x, w: h.t(x),
+    "element": lambda h, x, w: h.element({w: ONE, x: V}),
+    "kl_column": lambda h, x, w: h.kl_column(x),
+    "kl_polynomial(x, w0)": lambda h, x, w: h.kl_polynomial(x, w),
+    "kl_polynomial(w0, x)": lambda h, x, w: h.kl_polynomial(w, x),
+    "kl_polynomial(x, x)": lambda h, x, w: h.kl_polynomial(x, x),
+    "mu(x, w0)": lambda h, x, w: h.mu(x, w),
+    "mu(e, x)": lambda h, x, w: h.mu(h.group.identity, x),
+    "kl_element": lambda h, x, w: h.kl_element(x),
+    "kl_basis_elements": lambda h, x, w: h.kl_basis_elements([w, x]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FOREIGN_CALLS))
+@pytest.mark.parametrize("kind, word", [("B2", (1,)), ("A2", ())], ids=["B2-s1", "A2-e"])
+def test_element_entry_points_refuse_another_group(call, kind, word):
+    hecke = HeckeAlgebra(weyl_group("A3"))
+    x = weyl_group(kind).word_elem(word)
+    with pytest.raises(ValueError, match=f"Weyl group of {kind} used in that of A3"):
+        _FOREIGN_CALLS[call](hecke, x, hecke.group.w0)
+    assert len(hecke.kl_table) == 0
+
+
+def test_a_refused_read_leaves_the_table_clean(tmp_path):
+    hecke = HeckeAlgebra(weyl_group("A3"))
+    e = weyl_group("A2").identity
+    with pytest.raises(ValueError, match="Weyl group of A2 used in that of A3"):
+        hecke.kl_polynomial(e, e)
+    assert len(hecke.kl_table) == 0
+    hecke.kl_basis_elements()
+    path = str(tmp_path / "A3.klt")
+    assert save_kl_table(hecke.kl_table, path) == 213
+    assert load_kl_table(path, HeckeAlgebra(hecke.group)) == 213

@@ -356,3 +356,11 @@ def test_closed_form_demazure_matches_division():
                 assert got == want, (kind, i, f)
                 if all(c.denominator == 1 for _, c in f.items()):
                     assert all(c.denominator == 1 for _, c in got.items())
+
+
+def test_schubert_class_refuses_another_group():
+    # The B2 class used to be built, and a product of it in A3 then
+    # failed with a bare KeyError inside multiply.
+    coinv = coinvariant_algebra("A3")
+    with pytest.raises(ValueError, match="Weyl group of B2 used in that of A3"):
+        coinv.schubert_class(weyl_group("B2").simple(1))
