@@ -65,7 +65,7 @@ print()
 print("expansion system rank:", report.expansion_rank, "=", group.order)
 size = len(report.basis_elements)
 pairings = [
-    [int(coinv.dual_pairing(J, report, a, b)) for b in range(size)]
+    [int(coinv.dual_pairing(report, a, b)) for b in range(size)]
     for a in range(size)
 ]
 identity = [[int(a == b) for b in range(size)] for a in range(size)]

@@ -364,9 +364,10 @@ def bott_samelson_decomposition(hecke: HeckeAlgebra, word: Sequence[int]) -> BSR
     )
 
 
-def _check_wall(wall: BlockDesc) -> None:
+def _check_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) -> None:
     if wall.I:
         raise ValueError("wall-crossing is for ordinary blocks (I = empty)")
+    wall.group.check_elements(*vec)
 
 
 def translate_onto_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) -> K0Vector:
@@ -374,7 +375,7 @@ def translate_onto_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) ->
 
     [Verma(du . 0)] with d in W^J, u in W_J maps to v^{-l(u)} [Verma(d . lam)].
     """
-    _check_wall(wall)
+    _check_wall(wall, vec)
     out: K0Vector = {}
     for w, p in vec.items():
         d, u = wall.group.coset_factorize(w, wall.J)
@@ -389,7 +390,7 @@ def translate_out_of_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) 
     [Verma(d . lam)] maps to sum over u in W_J of
     v^{l(u) - l(w_J)} [Verma(du . 0)].
     """
-    _check_wall(wall)
+    _check_wall(wall, vec)
     w_elems = wall.group.parabolic_elements(wall.J)
     top = w_elems[-1].length
     out: K0Vector = {}

@@ -715,7 +715,7 @@ class _Suite:
             for a in range(len(w_elems)):
                 for b in range(len(w_elems)):
                     want = Fraction(int(a == b))
-                    if coinv.dual_pairing(J, report, a, b) != want:
+                    if coinv.dual_pairing(report, a, b) != want:
                         raise _Fail(f"pairing J={sorted(J)}")
         return scope
 

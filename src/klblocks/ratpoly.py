@@ -286,20 +286,6 @@ class RatPoly:
             self.nvars, {m: c for m, c in t.items() if c}, self._den * den
         )
 
-    def substitute_single(
-        self, j: int, image: "RatPoly", powers: list["RatPoly"] | None = None
-    ) -> "RatPoly":
-        """Replace variable j by image, leaving the other variables alone.
-
-        powers, when given, is a cache [image^0, image^1, ...] extended
-        in place as needed.
-        """
-        if powers is None:
-            powers = [RatPoly.one(self.nvars)]
-        for _ in range(len(powers), self.degree_in(j) + 1):
-            powers.append(powers[-1] * image)
-        return self.substitute_powers(j, powers)
-
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest monomial in graded-lex order with its coefficient."""
         if not self._t:

@@ -9,7 +9,8 @@ the normalized product of the positive roots, and a polynomial f is
 projected to the basis by reading off degree-0 parts of Delta_w(f).
 Each Delta_i is applied in closed form, monomial by monomial, to the
 integer numerators of a polynomial; the representatives are integer
-polynomials over one denominator that divides |W|.
+polynomials over one denominator that divides |W|.  s_i acts the same
+way, from a table of (s_i w_i)^k grown as that of Delta_i(w_i^k) is.
 
 Delta_x does not depend on the reduced word, so one walk up the left
 weak order serves every caller that needs Delta_x for many x: with i
@@ -25,7 +26,10 @@ Delta_x along its word and is the reference the walk is tested against.
 
 Products are computed through polynomial representatives followed by
 projection; the Chevalley rule is a separate route used to
-cross-check them.
+cross-check them.  The freeness certificate builds one pairing matrix
+per degree, shared by the duals of that degree; the cellular chain
+check multiplies each pair u, w != e once, as products commute and
+X_e = 1.
 """
 
 from __future__ import annotations
@@ -133,13 +137,18 @@ class CoinvariantAlgebra:
 
     def act(self, w: WeylElem, f: RatPoly) -> RatPoly:
         """Weyl group action, simple reflections along the word of w."""
+        self.group.check_elements(w)
         for i in reversed(w.word):
             f = self.act_simple(i, f)
         return f
 
     def act_simple(self, i: int, f: RatPoly) -> RatPoly:
-        return f.substitute_single(i - 1, self._si_image[i - 1],
-                                   self._si_powers[i - 1])
+        """s_i f: each power w_i^k becomes (s_i w_i)^k, built once per (i, k)."""
+        j = i - 1
+        powers = self._si_powers[j]
+        for _ in range(len(powers), f.degree_in(j) + 1):
+            powers.append(powers[-1] * self._si_image[j])
+        return f.substitute_powers(j, powers)
 
     # -- Demazure operators ------------------------------------------
 
@@ -160,6 +169,7 @@ class CoinvariantAlgebra:
 
     def demazure(self, w: WeylElem, f: RatPoly) -> RatPoly:
         """Composite along the canonical reduced word of w."""
+        self.group.check_elements(w)
         for i in reversed(w.word):
             f = self.demazure_simple(i, f)
         return f
@@ -244,9 +254,8 @@ class CoinvariantAlgebra:
         group = self.group
         top = self._reps.get(group.w0)
         if top is None:
-            top = RatPoly.constant(self.nvars, Fraction(1, group.order))
-            for t in range(group.datum.num_positive_roots):
-                top = top * self.root_poly(t)
+            top = self.parabolic_root_product(range(1, self.nvars + 1))
+            top = top * Fraction(1, group.order)
             images = self._demazure_images([top], group.elements)
             for w in group.elements:
                 self._reps[w] = images[w.inverse() * group.w0][0]
@@ -254,6 +263,7 @@ class CoinvariantAlgebra:
 
     def schubert_rep(self, w: WeylElem) -> RatPoly:
         """The polynomial representing X_w (homogeneous, degree 2 l(w))."""
+        self.group.check_elements(w)
         if w not in self._reps:
             self.staircase_poly()
         return self._reps[w]
@@ -308,18 +318,6 @@ class CoinvariantAlgebra:
         SchubertElem.check_group(self.group, a)
         return a.coefficient(self.group.w0)
 
-    def trace_parabolic(self, subset: Iterable[int], a: SchubertElem) -> Fraction:
-        """Coefficient of X_{d_J} for elements supported on W^J."""
-        SchubertElem.check_group(self.group, a)
-        J = frozenset(subset)
-        reps = set(self.group.min_coset_reps(J))
-        if any(w not in reps for w in a.support()):
-            raise NotInParabolicError(
-                f"element is not supported on the minimal coset representatives of {sorted(J)}"
-            )
-        d_j = self.group.w0 * self.group.parabolic_longest(J).inverse()
-        return a.coefficient(d_j)
-
     def gram_matrix(
         self, subset: Iterable[int]
     ) -> tuple[tuple[WeylElem, ...], list[list[Fraction]]]:
@@ -360,9 +358,8 @@ class CoinvariantAlgebra:
 
     def parabolic_root_product(self, subset: Iterable[int]) -> RatPoly:
         """Product of the positive roots supported on the subset."""
-        J = frozenset(subset)
         f = RatPoly.one(self.nvars)
-        for t in self.group.datum.parabolic_root_indices(J):
+        for t in self.group.datum.parabolic_root_indices(frozenset(subset)):
             f = f * self.root_poly(t)
         return f
 
@@ -372,7 +369,8 @@ class CoinvariantAlgebra:
         The generators are the classes of Delta_w(mu_J), w in W_J; the
         certificate solves the |W| x |W| system expressing every X_x in
         the products X_d * c_w, then computes a dual family under the
-        degree-0 part of Delta_{w_J}(c_w * b_u).
+        degree-0 part of Delta_{w_J}(c_w * b_u), from one pairing matrix
+        per length l: c_w against X_z, l(w) = l(z) = l.
         """
         J = frozenset(subset)
         group = self.group
@@ -403,20 +401,17 @@ class CoinvariantAlgebra:
                 f"expansion system has rank {r} < {group.order} for J={sorted(J)}"
             )
 
+        rows: dict[int, list[list[Fraction]]] = {}
+        for w, p in zip(w_elems, gen_polys):
+            rows.setdefault(w.length, []).append([
+                self.demazure(w_j, p * self.schubert_rep(z)).constant_term()
+                for z in self._length_bucket[w.length]
+            ])
         duals = []
         for u in w_elems:
             bucket = self._length_bucket[u.length]
-            rows = []
-            rhs = []
-            for w, p in zip(w_elems, gen_polys):
-                if w.length != u.length:
-                    continue
-                rows.append([
-                    self.demazure(w_j, p * self.schubert_rep(z)).constant_term()
-                    for z in bucket
-                ])
-                rhs.append(Fraction(int(w == u)))
-            beta = linear_solve(rows, rhs)
+            rhs = [Fraction(int(w == u)) for w in w_elems if w.length == u.length]
+            beta = linear_solve(rows[u.length], rhs)
             if beta is None:
                 raise NotFreeError(f"no dual element for {u!r}, J={sorted(J)}")
             duals.append(SchubertElem(self, dict(zip(bucket, beta))))
@@ -430,11 +425,9 @@ class CoinvariantAlgebra:
             expansion_rank=r,
         )
 
-    def dual_pairing(self, subset: Iterable[int], report: FreeBasisReport,
-                     w_index: int, u_index: int) -> Fraction:
+    def dual_pairing(self, report: FreeBasisReport, w_index: int, u_index: int) -> Fraction:
         """Degree-0 part of Delta_{w_J}(c_w * b_u) for report entries."""
-        J = frozenset(subset)
-        w_j = self.group.parabolic_elements(J)[-1]
+        w_j = report.basis_elements[-1]
         c_w = report.generators[w_index]
         b_u = report.duals[u_index]
         deg_c = report.generator_degrees[w_index]
@@ -454,10 +447,8 @@ class CoinvariantAlgebra:
         rep_set = set(reps)
         entries = tuple((w, self.schubert_class(w), 2 * w.length) for w in reps)
         verified = True
-        for u in reps:
-            if u.length == 0:
-                continue
-            for w in reps:
+        for k, u in enumerate(reps[1:], 1):
+            for w in reps[k:]:
                 prod = self.multiply(self.schubert_class(u), self.schubert_class(w))
                 if any(z not in rep_set for z in prod.support()):
                     verified = False

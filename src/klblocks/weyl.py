@@ -82,6 +82,8 @@ class WeylElem:
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         """Walk the word of the shorter factor through the shift tables."""
         group = self.group
+        if other.group is not group:
+            group.check_elements(other)
         if other.length <= self.length:
             x = self.index
             for i in other.word:
@@ -325,6 +327,7 @@ class WeylGroup:
         loop stops at x = e or x = y, both true, or at x past y in index,
         so l(x) >= l(y) with x != y: false.
         """
+        self.check_elements(x, y)
         left, elems = self.left, self.elements
         x, y = x.index, y.index
         while 0 < x < y:
@@ -379,6 +382,7 @@ class WeylGroup:
         self, w: WeylElem, subset: Iterable[int]
     ) -> tuple[WeylElem, WeylElem]:
         """Split w = d * u with d in W^J, u in W_J."""
+        self.check_elements(w)
         J = self._check_subset(subset)
         d, u = w.index, 0
         # move right descents in J from d onto u until d has none

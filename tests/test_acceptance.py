@@ -161,7 +161,7 @@ def test_criterion_06_freeness(criterion):
             size = len(report.basis_elements)
             for a in range(size):
                 for b in range(size):
-                    pairing = coinv.dual_pairing(J, report, a, b)
+                    pairing = coinv.dual_pairing(report, a, b)
                     assert pairing == Fraction(int(a == b))
 
 

@@ -257,6 +257,15 @@ def test_translation_refuses_a_parabolic_block(a2):
             translate(block, vec)
 
 
+def test_translation_refuses_elements_of_another_group(a3, b2):
+    # On the A3 wall J = {1}, w0 of B2 used to land on <A3 2.3>, and s1
+    # of B2 went out to a sum of B2 elements.
+    wall = standard_block(a3, (), {1})
+    for translate, x in ((translate_onto_wall, b2.w0), (translate_out_of_wall, b2.simple(1))):
+        with pytest.raises(ValueError, match="Weyl group of B2 used in that of A3"):
+            translate(wall, {a3.identity: ONE, x: ONE})
+
+
 def test_ungraded_specialization(a2, hecke_a2):
     block = standard_block(a2, (), ())
     d1 = decomposition_matrix(block, hecke_a2).eval_at_one()

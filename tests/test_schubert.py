@@ -7,7 +7,6 @@ import pytest
 from klblocks import (
     CoinvariantAlgebra,
     NotFreeError,
-    NotInParabolicError,
     RatPoly,
     coinvariant_algebra,
     divide_by_linear,
@@ -34,6 +33,16 @@ def test_simple_action_touches_one_variable(coinv_a2, a2):
     assert coinv_a2.act_simple(1, w2) == w2
     f = w1 * w2 + w2 ** 2
     assert coinv_a2.act(a2.simple(1), f) == coinv_a2.act_simple(1, f)
+
+
+def test_simple_action_grows_its_power_table(a2):
+    coinv = CoinvariantAlgebra(a2)
+    w1, w2 = coinv.weight_poly(1), coinv.weight_poly(2)
+    image = w1 - coinv.alpha_poly(1)
+    assert coinv.act_simple(1, w1 ** 3 * w2) == image ** 3 * w2
+    assert coinv._si_powers[0] == [RatPoly.one(2), image, image ** 2, image ** 3]
+    assert coinv.act_simple(1, w1 ** 2) == image ** 2
+    assert len(coinv._si_powers[0]) == 4
 
 
 def test_demazure_simple(coinv_a2):
@@ -121,14 +130,6 @@ def test_trace_and_duality(coinv_a2, a2):
             assert coinv_a2.trace(prod) == Fraction(int(y == w0 * x))
 
 
-def test_parabolic_trace_needs_invariance(coinv_a2, a2):
-    x1 = coinv_a2.schubert_class(a2.simple(1))
-    with pytest.raises(NotInParabolicError):
-        coinv_a2.trace_parabolic(J1, x1)
-    x12 = coinv_a2.schubert_class(a2.word_elem((1, 2)))
-    assert coinv_a2.trace_parabolic(J1, x12) == 1
-
-
 def test_gram_matrices(coinv_a2, a2):
     reps, gram = coinv_a2.gram_matrix(J1)
     assert [w.word for w in reps] == [(), (2,), (1, 2)]
@@ -159,7 +160,7 @@ def test_freeness_certificate(coinv_a2, a2):
         assert len(report.generators) == size
         for a in range(size):
             for b in range(size):
-                assert coinv_a2.dual_pairing(J, report, a, b) == Fraction(int(a == b))
+                assert coinv_a2.dual_pairing(report, a, b) == Fraction(int(a == b))
 
 
 def test_cellular_datum(coinv_a2):
@@ -167,6 +168,50 @@ def test_cellular_datum(coinv_a2):
     assert datum.chain_verified
     degrees = [deg for _, _, deg in datum.entries]
     assert degrees == sorted(degrees)
+
+
+def _counting(monkeypatch, name):
+    """Replace a CoinvariantAlgebra method by one that logs its calls."""
+    true_method = getattr(CoinvariantAlgebra, name)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return true_method(self, *args)
+
+    monkeypatch.setattr(CoinvariantAlgebra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, chains", [("A3", 106), ("B3", 296)])
+def test_freeness_builds_each_pairing_matrix_once(monkeypatch, kind, chains):
+    # With J = all, one matrix per length l holds n_l x n_l pairings
+    # (n_l elements of length l); one matrix per dual would take
+    # sum n_l^3 Demazure chains, 522 on A3 and 2 016 on B3.
+    group = weyl_group(kind)
+    coinv = CoinvariantAlgebra(group)
+    full = range(1, group.rank + 1)
+    lengths = [w.length for w in group.elements]
+    calls = _counting(monkeypatch, "demazure")
+    report = coinv.free_basis_over_parabolic(full)
+    assert len(calls) == chains == sum(lengths.count(l) ** 2 for l in set(lengths))
+    assert {w for w, _ in calls} == {group.w0}
+    size = len(report.basis_elements)
+    for a in range(size):
+        for b in range(size):
+            assert coinv.dual_pairing(report, a, b) == Fraction(int(a == b))
+
+
+def test_cellular_chain_multiplies_each_pair_once(monkeypatch, b3):
+    # The 47 classes X_u, u != e, of W^J = W: 47 * 48 / 2 unordered pairs,
+    # where every ordered pair (u, w) with u != e would take 47 * 48.
+    coinv = CoinvariantAlgebra(b3)
+    calls = _counting(monkeypatch, "multiply")
+    datum = coinv.cellular_datum(frozenset())
+    assert datum.chain_verified
+    assert len(calls) == 1128
+    pairs = {frozenset(a.support() + b.support()) for a, b in calls}
+    assert len(pairs) == 1128 and b3.identity not in set().union(*pairs)
 
 
 def _monomials_up_to_top(group):
@@ -296,16 +341,21 @@ def test_operands_from_another_group_are_rejected():
 
 def test_element_methods_refuse_another_group():
     # Each of these used to read a B2 element's indices as A2 ones: a
-    # Schubert class outside A2, a zero trace, or a bare IndexError.
+    # Schubert class outside A2, a zero trace, the action or Demazure
+    # image of an A2 element, or a bare IndexError or KeyError.
     coinv, hecke = coinvariant_algebra("A2"), hecke_algebra("A2")
     x = coinvariant_algebra("B2").schubert_class(weyl_group("B2").simple(2))
     top = coinvariant_algebra("B2").schubert_class(weyl_group("B2").w0)
     t = hecke_algebra("B2").t(weyl_group("B2").w0)
+    s1 = weyl_group("B2").simple(1)
+    f = coinv.weight_poly(1)
     cases = [
         (lambda: coinv.chevalley_multiply(1, x), "coinvariant algebra of B2"),
         (lambda: coinv.trace(top), "coinvariant algebra of B2"),
-        (lambda: coinv.trace_parabolic({1}, top), "coinvariant algebra of B2"),
         (lambda: hecke.expand_in_kl_basis(t), "Hecke algebra of B2"),
+        (lambda: coinv.act(s1, f), "Weyl group of B2 used in that of A2"),
+        (lambda: coinv.demazure(s1, f), "Weyl group of B2 used in that of A2"),
+        (lambda: coinv.schubert_rep(s1), "Weyl group of B2 used in that of A2"),
     ]
     for op, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -303,3 +303,18 @@ def test_oversized_groups_are_refused_before_enumeration(kind, order):
 def test_largest_accepted_groups_are_under_the_cap():
     for kind, order in (("E6", 51_840), ("A7", 40_320), ("B6", 46_080)):
         assert weyl_group_order(kind) == order <= MAX_GROUP_ORDER
+
+
+def test_element_entry_points_refuse_another_group(a3, b2):
+    # Each of these used to read a B2 element's index in A3: s1 of B2 was
+    # below w0, w0 of B2 split as 2.3 * e, and w0 * s1 was an A3 element.
+    message = "Weyl group of B2 used in that of A3"
+    s1, top = b2.simple(1), b2.w0
+    for op in (lambda: a3.bruhat_leq(s1, a3.w0), lambda: a3.bruhat_leq(a3.identity, s1),
+               lambda: a3.coset_factorize(top, {1}), lambda: a3.w0 * s1):
+        with pytest.raises(ValueError, match=message):
+            op()
+    with pytest.raises(ValueError, match="Weyl group of A3 used in that of B2"):
+        s1 * a3.w0
+    assert a3.bruhat_leq(a3.simple(1), a3.w0)
+    assert a3.coset_factorize(a3.w0, {1})[0] * a3.simple(1) is a3.w0
