@@ -13,6 +13,7 @@ finds a violated invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 # unused here, but perfbench's tracer self-test looks up cli.klcache.load_kl_table
@@ -429,6 +430,9 @@ def _cmd_check_all(args) -> int:
 # -- argument wiring -------------------------------------------------
 
 
+# parse_args leaves the parser as it was, so one per process serves
+# every call of main.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="klblocks", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -142,9 +142,15 @@ class CoinvariantAlgebra:
             f = self.act_simple(i, f)
         return f
 
+    def _slot(self, i: int) -> int:
+        """The 0-based slot of the simple index i; ValueError off 1..rank."""
+        if not 1 <= i <= self.group.rank:
+            raise ValueError(f"simple index {i} out of range")
+        return i - 1
+
     def act_simple(self, i: int, f: RatPoly) -> RatPoly:
         """s_i f: each power w_i^k becomes (s_i w_i)^k, built once per (i, k)."""
-        j = i - 1
+        j = self._slot(i)
         powers = self._si_powers[j]
         for _ in range(len(powers), f.degree_in(j) + 1):
             powers.append(powers[-1] * self._si_image[j])
@@ -160,7 +166,7 @@ class CoinvariantAlgebra:
         built once per (i, k).  No division; integer input gives integer
         output.
         """
-        j = i - 1
+        j = self._slot(i)
         table = self._divided[j]
         for k in range(len(table), f.degree_in(j) + 1):
             power = RatPoly.variable(self.nvars, j) ** (k - 1)
@@ -299,11 +305,12 @@ class CoinvariantAlgebra:
     def chevalley_multiply(self, i: int, a: SchubertElem) -> SchubertElem:
         """X_{s_i} * a by the Chevalley rule over lengthening reflections."""
         SchubertElem.check_group(self.group, a)
+        j = self._slot(i)
         datum = self.group.datum
         coeffs: dict[WeylElem, Fraction] = {}
         for w, c in a.items():
             for t in range(datum.num_positive_roots):
-                pairing = datum.pos_coroots[t][i - 1]
+                pairing = datum.pos_coroots[t][j]
                 if not pairing:
                     continue
                 wt = w * self.group.reflection(t)

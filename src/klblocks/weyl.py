@@ -3,10 +3,10 @@
 A group enumerates itself on construction (``weyl_group_of_kind``
 refuses more than ``MAX_GROUP_ORDER`` elements) and numbers its elements
 in canonical order.  W acts simply transitively on the orbit of rho, so
-the enumeration is a breadth-first search over the points w(rho), each
-step a simple reflection s_i lambda = lambda - lambda_i alpha_i; no
-element carries a matrix.  The search records, per simple reflection
-s_i, the tables ``left[i - 1][x] = index of s_i w_x`` and
+the enumeration is a search over the points w(rho), one length at a
+time, s_1 first; each step is a simple reflection s_i lambda = lambda -
+lambda_i alpha_i, and no element carries a matrix.  It records per s_i
+the tables ``left[i - 1][x] = index of s_i w_x`` and
 ``right[i - 1][x] = index of w_x s_i``, after the per-generator shift
 tables of du Cloux's Coxeter program, and a table of inverses.
 Products and reduced words read these tables; the actions on weights
@@ -50,7 +50,7 @@ __all__ = ["Combination", "NotCanonicalError", "WeylElem", "WeylGroup"]
 _Table = tuple[tuple[int, ...], ...]
 
 # Largest |W| that weyl_group_of_kind enumerates.  E6 (51 840 elements)
-# builds in about 2 s and 60 MB; E7, E8, A8, B7, C7 and D7 are refused
+# builds in about 0.5 s and 50 MB; E7, E8, A8, B7, C7 and D7 are refused
 # before any work is done.
 MAX_GROUP_ORDER = 100_000
 
@@ -197,54 +197,48 @@ class WeylGroup:
         # _alpha[i] is alpha_{i+1} in fundamental-weight coordinates
         self._alpha = tuple(tuple(row[i] for row in datum.cartan) for i in range(n))
 
-        # Breadth-first search over the orbit of rho: the point w(rho)
-        # names w, its search position is a temporary name and its
-        # depth is its length.
+        # The orbit of rho, one length at a time; the point w(rho) names
+        # w.  s_i u is longer than u exactly when u(rho)_i > 0, and x is
+        # first met as s_i u with i its smallest left descent, u = s_i x a
+        # level down.  So, s_1 first in the outer loop, each level comes in
+        # canonical order (first letter, then rank of the rest).
         points = [(1,) * n]
         found = {points[0]: 0}
-        depth = [0]
-        parent = [(0, 0)]  # (position of u, i) with this element = s_i u
-        left: list[list[int]] = [[] for _ in range(n)]
-        for pos, point in enumerate(points):  # grows while read: a queue
-            for i in range(n):
-                p = self._reflect(i, point)
-                nxt = found.get(p)
-                if nxt is None:
-                    nxt = found[p] = len(points)
-                    points.append(p)
-                    depth.append(depth[pos] + 1)
-                    parent.append((pos, i))
-                left[i].append(nxt)
-        # (s_j u) s_i = s_j (u s_i) and (s_j u)^-1 = u^-1 s_j, where u
-        # and u^-1 come earlier in the search.
+        left: list[list[int]] = [[0] for _ in range(n)]
+        level, new = [0], []
+        while level:
+            for i, row in enumerate(left):
+                for u in level:
+                    if points[u][i] > 0:
+                        p = self._reflect(i, points[u])
+                        x = found.setdefault(p, len(points))
+                        if x == len(points):
+                            points.append(p)
+                            new.append(x)
+                            for r in left:
+                                r.append(0)
+                        row[u], row[x] = x, u
+            level, new = new, []
+        self.left: _Table = tuple(map(tuple, left))
+        left = self.left  # drops the lists before right is built
+        # x = s_j u with j the first negative coordinate of x(rho) and u
+        # earlier: x s_i = s_j (u s_i) and x^-1 = u^-1 s_j.
+        elements = [WeylElem(self, 0, ())]
         right: list[list[int]] = [[row[0]] for row in left]
         inverse = [0]
-        for pos in range(1, len(points)):
-            u, j = parent[pos]
+        for x in range(1, len(points)):
+            j = next(i for i, c in enumerate(points[x]) if c < 0)
+            u = left[j][x]
+            elements.append(WeylElem(self, x, (j + 1,) + elements[u].word))
             for i in range(n):
                 right[i].append(left[j][right[i][u]])
             inverse.append(right[j][inverse[u]])
-        # Left descents are the negative coordinates of w(rho).
-        words: list[tuple[int, ...]] = [()]
-        for pos in range(1, len(points)):
-            i = next(i for i, c in enumerate(points[pos]) if c < 0)
-            words.append((i + 1,) + words[left[i][pos]])
-
-        order = sorted(range(len(points)), key=lambda p: (depth[p], words[p]))
-        rank_of = {pos: k for k, pos in enumerate(order)}
-        self.right: _Table = tuple(
-            tuple(rank_of[row[pos]] for pos in order) for row in right
-        )
-        self.left: _Table = tuple(
-            tuple(rank_of[row[pos]] for pos in order) for row in left
-        )
-        self._inverse = tuple(rank_of[inverse[pos]] for pos in order)
-        self.elements: tuple[WeylElem, ...] = tuple(
-            WeylElem(self, k, words[pos]) for k, pos in enumerate(order)
-        )
+        self.right: _Table = tuple(map(tuple, right))
+        self._inverse = tuple(inverse)
+        self.elements: tuple[WeylElem, ...] = tuple(elements)
         # s_beta is the element whose point is rho - <rho, beta^vee> beta.
         self._reflections = tuple(
-            self.elements[rank_of[found[tuple(1 - sum(d) * b for b in beta)]]]
+            self.elements[found[tuple(1 - sum(d) * b for b in beta)]]
             for beta, d in zip(datum.pos_roots_omega, datum.pos_coroots)
         )
         self.identity = self.elements[0]

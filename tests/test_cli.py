@@ -14,6 +14,7 @@ from klblocks import (
     matrix_from_json,
     standard_block,
 )
+from klblocks import cli
 from klblocks.cli import main
 from klblocks.schubert import CoinvariantAlgebra
 
@@ -275,6 +276,33 @@ def test_argparse_errors(capsys):
     assert run(["decomp"]) == 1
     assert run(["no-such-command", "--type", "A2"]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert run(["root-system", "--type", "A1"]) == 0
+    capsys.readouterr()
+    assert len(built) == 13  # the top-level parser and one per subcommand
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["kl", "--help"], ["decomp", "--type", "A2", "--J", "x"],
+    ["no-such-command"],
+])
+def test_reused_parser_prints_what_a_fresh_one_does(capsys, argv):
+    cli._build_parser.cache_clear()
+    first = run(argv), capsys.readouterr()
+    assert run(argv) == first[0]
+    assert capsys.readouterr() == first[1]
 
 
 # sha256 of stdout, recorded before the Schubert layer moved to integer

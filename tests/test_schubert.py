@@ -56,6 +56,19 @@ def test_demazure_simple(coinv_a2):
     assert coinv_a2.act_simple(1, d) == d
 
 
+def test_simple_entry_points_refuse_an_index_off_the_rank(a2):
+    # Index 0 used to read slot -1, the tables of s_2 and Delta_2.
+    coinv = CoinvariantAlgebra(a2)
+    f = coinv.weight_poly(1) * coinv.weight_poly(2)
+    coinv.demazure_simple(2, f)
+    x1 = coinv.schubert_class(a2.simple(1))
+    for i in (0, 3):
+        for op in (lambda: coinv.act_simple(i, f), lambda: coinv.demazure_simple(i, f),
+                   lambda: coinv.chevalley_multiply(i, x1)):
+            with pytest.raises(ValueError, match=f"simple index {i} out of range"):
+                op()
+
+
 def test_demazure_word_composition(coinv_a2, a2):
     w0 = a2.w0
     f = coinv_a2.staircase_poly() * 6  # degree-3 polynomial

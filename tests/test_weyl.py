@@ -235,7 +235,7 @@ def element_matrices(group):
     return out
 
 
-@pytest.mark.parametrize("kind", ["A3", "B3", "G2", "D4"])
+@pytest.mark.parametrize("kind", ["A3", "B3", "G2", "D4", "F4"])
 def test_shift_tables_match_matrix_products(kind):
     group = weyl_group(kind)
     matrices = element_matrices(group)
@@ -288,6 +288,11 @@ def test_order_formula_matches_enumeration(kind):
     group = weyl_group_of_kind(kind)
     assert weyl_group_order(kind) == len(group.elements)
     assert group.w0.act((1,) * group.rank) == (-1,) * group.rank
+    # The search meets the elements in canonical order, and each word
+    # starts with the element's smallest left descent.
+    by_word = sorted(group.elements, key=lambda w: (w.length, w.word))
+    assert [w.index for w in by_word] == list(range(group.order))
+    assert all(w.word[0] == group.left_descents(w)[0] for w in group.elements[1:])
 
 
 @pytest.mark.parametrize("kind, order", [
