@@ -271,6 +271,13 @@ def _pairs(elems: Sequence, rng: random.Random, cap: int) -> tuple[list, str]:
     return sample, f"sampled {len(sample)} pairs"
 
 
+class _MaxDescentHecke(HeckeAlgebra):
+    """Runs the C_w recursion through the largest left descent, not the smallest."""
+
+    def _pick_descent(self, w: WeylElem) -> int:
+        return self.group.left_descents(w)[-1]
+
+
 # -- the catalogue ---------------------------------------------------
 
 
@@ -562,7 +569,7 @@ class _Suite:
         group = self.group
         if len(group.elements) > _PAIR_CAP:
             raise _Skip(f"large group: |W| = {len(group.elements)} > {_PAIR_CAP}")
-        other = HeckeAlgebra(group, descent_rule="max")
+        other = _MaxDescentHecke(group)
         for w in group.elements:
             if other.kl_element(w) != self.hecke.kl_element(w):
                 raise _Fail(f"{w!r}")

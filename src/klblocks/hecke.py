@@ -88,18 +88,10 @@ class HeckeElem(Combination):
 
 
 class HeckeAlgebra:
-    """Hecke algebra of a Weyl group, with its KL columns in kl_table.
+    """Hecke algebra of a Weyl group, with its KL columns in kl_table."""
 
-    descent_rule picks which left descent drives the C_w recursion
-    ("min" or "max"); the resulting basis is the same either way,
-    which the tests exercise.
-    """
-
-    def __init__(self, group: WeylGroup, descent_rule: str = "min"):
-        if descent_rule not in ("min", "max"):
-            raise ValueError(f"bad descent rule {descent_rule!r}")
+    def __init__(self, group: WeylGroup):
         self.group = group
-        self.descent_rule = descent_rule
         self.kl_table = KLTable(group.kind)
 
     # -- construction ------------------------------------------------
@@ -195,8 +187,8 @@ class HeckeAlgebra:
     # -- Kazhdan-Lusztig basis ---------------------------------------
 
     def _pick_descent(self, w: WeylElem) -> int:
-        descents = self.group.left_descents(w)
-        return descents[0] if self.descent_rule == "min" else descents[-1]
+        """The left descent that drives the C_w recursion: the smallest."""
+        return self.group.left_descents(w)[0]
 
     def kl_element(self, w: WeylElem) -> HeckeElem:
         """The self-dual basis element C_w, read off the KL column of w."""

@@ -3,6 +3,8 @@
 The variable is written ``v`` by default.  The same type doubles as
 ordinary polynomials in ``q`` (only nonnegative exponents) when used
 for Kazhdan-Lusztig coefficients; rendering picks the variable name.
+Arithmetic and equality take ``LaurentPoly`` operands only: ``p + 1``
+and ``2 * p`` raise TypeError, and ``p == 1`` is False.
 
 >>> p = LaurentPoly.one() + LaurentPoly.gen() ** 2
 >>> str(p)
@@ -82,25 +84,13 @@ class LaurentPoly:
     def max_exp(self) -> int | None:
         return max(self._c) if self._c else None
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
-
     # -- arithmetic --------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
-        return None
-
     def __add__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         c = dict(self._c)
-        for e, k in o._c.items():
+        for e, k in other._c.items():
             k += c.get(e, 0)
             if k:
                 c[e] = k
@@ -108,35 +98,23 @@ class LaurentPoly:
                 del c[e]
         return LaurentPoly._normalized(c)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._normalized({e: -k for e, k in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         c: dict[int, int] = {}
         for e1, k1 in self._c.items():
-            for e2, k2 in o._c.items():
+            for e2, k2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + k1 * k2
         return LaurentPoly._normalized({e: k for e, k in c.items() if k})
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -147,15 +125,11 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == o._c
+        return self._c == other._c
 
     def __hash__(self) -> int:
-        # A constant equals the int it holds, so it must hash like one.
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, 0))
         return hash(self.items())
 
     # -- Kronecker packing -------------------------------------------

@@ -35,6 +35,9 @@ class RatPoly:
     """Sparse polynomial over Q in a fixed variable count.
 
     Stored as {monomial: integer numerator} over one denominator ``_den``.
+    Arithmetic and equality take a ``RatPoly`` in as many variables; the
+    one scalar operand is an int or Fraction as the right factor of
+    ``*``.
     """
 
     __slots__ = ("nvars", "_t", "_den")
@@ -83,10 +86,6 @@ class RatPoly:
     @classmethod
     def zero(cls, nvars: int) -> "RatPoly":
         return cls._normalized(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "RatPoly":
-        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> "RatPoly":
@@ -140,13 +139,11 @@ class RatPoly:
     # -- arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "RatPoly | None":
-        if isinstance(other, RatPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatPoly.constant(self.nvars, other)
-        return None
+        if not isinstance(other, RatPoly):
+            return None
+        if other.nvars != self.nvars:
+            raise ValueError("mixed variable counts")
+        return other
 
     def _plus(self, o: "RatPoly", sign: int) -> "RatPoly":
         """self + sign * o over the common denominator."""
@@ -168,8 +165,6 @@ class RatPoly:
             return NotImplemented
         return self._plus(o, 1)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatPoly":
         return RatPoly._normalized(
             self.nvars, {m: -c for m, c in self._t.items()}, self._den
@@ -180,12 +175,6 @@ class RatPoly:
         if o is None:
             return NotImplemented
         return self._plus(o, -1)
-
-    def __rsub__(self, other) -> "RatPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._plus(self, -1)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -209,8 +198,6 @@ class RatPoly:
         return RatPoly._normalized(
             self.nvars, {m: c for m, c in t.items() if c}, self._den * o._den
         )
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:

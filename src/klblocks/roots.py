@@ -23,7 +23,6 @@ __all__ = [
     "RootDatum",
     "cartan_matrix",
     "build_root_system",
-    "rho",
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -188,8 +187,3 @@ def build_root_system(kind: str) -> RootDatum:
         tuple(order),
         tuple(seen[r] for r in order),
     )
-
-
-def rho(rank: int) -> Weight:
-    """Half-sum of positive roots: the all-ones weight."""
-    return (1,) * rank

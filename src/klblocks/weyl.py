@@ -123,7 +123,8 @@ class Combination:
     ``_ring``, its algebra's name in the error for mixed groups, and
     formats one term in ``_term``.  ``algebra`` supplies ``group`` and
     ``multiply``.  Zero coefficients are dropped on construction, so
-    equal sums have equal coefficient dicts.
+    equal sums have equal coefficient dicts.  ``*`` takes two sums of
+    one kind; ``scale`` is the one way to multiply by a coefficient.
     """
 
     __slots__ = ("algebra", "_c")
@@ -171,12 +172,9 @@ class Combination:
         return self + (-other)
 
     def __mul__(self, other) -> "Combination":
-        if isinstance(other, Combination):
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "Combination":
-        return self.scale(other)
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return self.algebra.multiply(self, other)
 
     def scale(self, c) -> "Combination":
         return type(self)(self.algebra, {w: x * c for w, x in self._c.items()})

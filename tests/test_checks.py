@@ -1,9 +1,10 @@
 import pytest
 
-from klblocks import HeckeAlgebra, divide_by_linear, run_all_checks, weyl_group
+from klblocks import HeckeAlgebra, LaurentPoly, divide_by_linear, run_all_checks, weyl_group
 from klblocks.checks import (
     _CATALOGUE,
     CheckResult,
+    _MaxDescentHecke,
     _Suite,
     bruhat_closure_leq,
     double_quotient_weight_oracle,
@@ -30,6 +31,20 @@ def test_large_group_check_is_skipped_not_passed(kind, check):
     result = getattr(_Suite(kind), check)()
     assert result.skipped and result.passed
     assert result.line().startswith("skip ")
+
+
+def test_descent_rule_check_fails_on_a_planted_column():
+    suite = _Suite("A3")
+    group = suite.group
+    low, high = HeckeAlgebra(group), _MaxDescentHecke(group)
+    assert any(low._pick_descent(w) != high._pick_descent(w) for w in group.elements[1:])
+    # P_{e,w} + q for l(w) = 3 still meets the degree bound (l(w) - l(e) - 1)/2
+    w, e = group.word_elem((1, 2, 3)), group.identity
+    column = dict(low.kl_column(w))
+    column[e] = column[e] + LaurentPoly.gen()
+    suite.hecke.kl_table.store({w: column})
+    result = suite.check_descent_rule()
+    assert result.line().startswith("FAIL") and "raised" not in result.detail
 
 
 def test_suite_seeds_from_the_canonical_type():

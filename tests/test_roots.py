@@ -1,7 +1,7 @@
 import pytest
 
 from klblocks import UnknownTypeError, build_root_system, cartan_matrix, weyl_group
-from klblocks.roots import parse_kind, rho
+from klblocks.roots import parse_kind
 
 
 def test_parse_kind():
@@ -93,7 +93,3 @@ def test_parabolic_root_indices():
     assert len(inside) == 3  # positive roots of the A2 subsystem
     for t in inside:
         assert datum.root_support(t) <= frozenset({1, 2})
-
-
-def test_rho():
-    assert rho(3) == (1, 1, 1)

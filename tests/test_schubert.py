@@ -21,8 +21,8 @@ J1 = frozenset({1})
 def test_alpha_and_weight_polys(coinv_a2):
     w1 = coinv_a2.weight_poly(1)
     w2 = coinv_a2.weight_poly(2)
-    assert coinv_a2.alpha_poly(1) == 2 * w1 - w2
-    assert coinv_a2.alpha_poly(2) == -w1 + 2 * w2
+    assert coinv_a2.alpha_poly(1) == w1 * 2 - w2
+    assert coinv_a2.alpha_poly(2) == -w1 + w2 * 2
     assert coinv_a2.root_poly(0) in (coinv_a2.alpha_poly(1), coinv_a2.alpha_poly(2))
 
 
@@ -122,8 +122,8 @@ def test_quotient_map_is_multiplicative(coinv_a2):
     w2 = coinv_a2.weight_poly(2)
     basis = [RatPoly.one(2), w1, w2, w1 * w2, w1 ** 2, w2 ** 2]
     for _ in range(20):
-        f = sum((rng.randint(-3, 3) * b for b in basis), RatPoly.zero(2))
-        g = sum((rng.randint(-3, 3) * b for b in basis), RatPoly.zero(2))
+        f = sum((b * rng.randint(-3, 3) for b in basis), RatPoly.zero(2))
+        g = sum((b * rng.randint(-3, 3) for b in basis), RatPoly.zero(2))
         lhs = coinv_a2.poly_to_schubert(f * g)
         rhs = coinv_a2.multiply(
             coinv_a2.poly_to_schubert(f), coinv_a2.poly_to_schubert(g)
@@ -310,7 +310,7 @@ def test_projection_takes_one_step_per_element(monkeypatch):
     group = weyl_group("B3")
     coinv = CoinvariantAlgebra(group)
     w1, w2, w3 = (coinv.weight_poly(i) for i in (1, 2, 3))
-    f = (w1 + 2 * w2 - w3) ** 4 + w1 * w2 * w3 ** 2
+    f = (w1 + w2 * 2 - w3) ** 4 + w1 * w2 * w3 ** 2
     expected = {w: coinv.demazure(w, f).constant_term()
                 for w in group.elements if w.length == 4}
     true_simple = CoinvariantAlgebra.demazure_simple
@@ -388,7 +388,7 @@ def test_coinvariant_action_is_a_group_action(kind):
     for t in range(group.datum.num_positive_roots):
         roots = roots * coinv.root_poly(t)
     sign = (-1) ** group.datum.num_positive_roots
-    assert coinv.act(group.w0, roots) == sign * roots
+    assert coinv.act(group.w0, roots) == roots * sign
 
 
 def test_g2_duality_spot_check():
