@@ -16,8 +16,7 @@ import argparse
 import functools
 import sys
 
-# unused here, but perfbench's tracer self-test looks up cli.klcache.load_kl_table
-from . import klcache, serialize  # noqa: F401
+from . import serialize
 from .roots import UnknownTypeError
 from .serialize import matrix_to_csv, matrix_to_table, word_label
 from .weyl import WeylGroup, weyl_group_of_kind
@@ -26,6 +25,16 @@ from .weyl import WeylGroup, weyl_group_of_kind
 # run, so a command loads no layer it does not use.
 
 __all__ = ["main"]
+
+
+def __getattr__(name: str):
+    """``cli.klcache``, imported on first use: no command reads the KL cache,
+    but perfbench's tracer self-test looks up ``cli.klcache.load_kl_table``."""
+    if name == "klcache":
+        from . import klcache
+
+        return klcache
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):

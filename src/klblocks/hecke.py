@@ -23,10 +23,16 @@ max l(y) (or max l(w)) keeps every exponent >= 1 before each step, so
 its division by v is exact.
 
 The KLTable is the only store of KL data: columns {w: {y: P_{y,w}}} in
-q = v^2, each stored whole by ``KLTable.store`` or not at all.  A stored
-column holds P_{y,w} for exactly the y <= w, whether the recursion
-computed it or ``klcache`` loaded it, so a reloaded table is used without
-recursion.  The C_w recursion runs on those columns in q, and C_w is read
+q = v^2, each stored whole or not at all.  A stored column holds
+P_{y,w} for exactly the y <= w, whether the recursion computed it or
+``klcache`` loaded it, so a reloaded table is used without recursion.
+Each column is kept packed, {y.index: P_{y,w}(2^B)} with B = _WIDTH
+read back in balanced digits, and one pool per table maps each packed
+value to its one ``LaurentPoly``: the recursion is int additions and
+shifts, and equal polynomials are one object.  With M_u the largest
+coefficient magnitude in the column of u, every coefficient the step to
+w meets is at most 2 M_v + sum |mu(y, v)| M_y, so a sum of 2^(B-1) or
+more raises ArithmeticError before the column is stored.  C_w is read
 off the column of w when asked for; nothing keeps C_w itself.  Tables
 are safe to share across threads only because columns are
 deterministic; confine a table to one thread if that bothers you.
@@ -42,38 +48,74 @@ from .weyl import Combination, WeylElem, WeylGroup
 
 __all__ = ["HeckeElem", "HeckeAlgebra", "KLTable"]
 
-_ONE = LaurentPoly.one()
+# Digit width of packed KL entries.  Pool keys depend on it, so it is one
+# width for every table, not a parameter.
+_WIDTH = 64
 _EMPTY: Mapping = MappingProxyType({})
 
 
 class KLTable:
-    """The store of Kazhdan-Lusztig polynomials P_{y,w}, by column, in q."""
+    """The store of Kazhdan-Lusztig polynomials P_{y,w} of one group, by column, in q."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
-        self._columns: dict[WeylElem, dict[WeylElem, LaurentPoly]] = {}
+    def __init__(self, group: WeylGroup):
+        self.group = group
+        self.kind = group.kind
+        self._packed: dict[int, dict[int, int]] = {}  # w.index -> {y.index: P_{y,w}(2^B)}
+        self._max: dict[int, int] = {}  # w.index -> M_w, largest |coefficient| in the column
+        self._pool: dict[int, LaurentPoly] = {}  # packed value -> its one polynomial
+        self._sizes: dict[int, int] = {}  # packed value -> largest |coefficient|
+        self._views: dict[int, Mapping[WeylElem, LaurentPoly]] = {}
 
     def store(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
-        """Store each column {y: P_{y,w}} of {w: column} whole, in place of any stored one."""
+        """Store each column {y: P_{y,w}} of {w: column} whole, in place of any stored one.
+
+        Raises ValueError, storing nothing, for an element of another group,
+        a negative exponent or a coefficient outside [-2^(B-1), 2^(B-1)).
+        """
+        half, packed = 1 << (_WIDTH - 1), {}
         for w, column in columns.items():
-            self._columns[w] = dict(column)
+            self.group.check_elements(w, *column)
+            for p in column.values():
+                if p and (p.min_exp() < 0 or any(not -half <= k < half for _, k in p.items())):
+                    raise ValueError(f"{p} in the column of {w!r} does not pack at width {_WIDTH}")
+            packed[w.index] = {y.index: p.pack(0, _WIDTH) for y, p in column.items()}
+        self._store_packed(packed)
+
+    def _store_packed(self, columns: dict[int, dict[int, int]]) -> None:
+        """The one write: keep each packed column {y.index: P_{y,w}(2^B)} of {w.index: column}."""
+        pool, sizes = self._pool, self._sizes
+        for w, column in columns.items():
+            values = set(column.values())
+            for n in values - pool.keys():
+                p = pool[n] = LaurentPoly.unpack(n, 0, _WIDTH)
+                sizes[n] = max((abs(k) for _, k in p.items()), default=0)
+            self._max[w] = max(map(sizes.__getitem__, values), default=0)
+            self._packed[w] = column
+            self._views.pop(w, None)
 
     def column_complete(self, w: WeylElem) -> bool:
         """Whether w has a stored column."""
-        return w in self._columns
+        return w.group is self.group and w.index in self._packed
 
     def column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
         """Read-only view of the stored column {y: P_{y,w}}; empty if there is none."""
-        column = self._columns.get(w)
-        return MappingProxyType(column) if column is not None else _EMPTY
+        if not self.column_complete(w):
+            return _EMPTY
+        view = self._views.get(w.index)
+        if view is None:
+            elems, pool = self.group.elements, self._pool
+            view = self._views[w.index] = MappingProxyType(
+                {elems[y]: pool[n] for y, n in self._packed[w.index].items()})
+        return view
 
     def columns(self) -> Iterator[tuple[WeylElem, Mapping[WeylElem, LaurentPoly]]]:
         """Each stored column as (w, read-only {y: P_{y,w}}), in index order of w."""
-        for w in sorted(self._columns, key=lambda w: w.index):
-            yield w, MappingProxyType(self._columns[w])
+        for w in sorted(self._packed):
+            w = self.group.elements[w]
+            yield w, self.column(w)
 
     def __len__(self) -> int:
-        return sum(len(column) for column in self._columns.values())
+        return sum(map(len, self._packed.values()))
 
 
 class HeckeElem(Combination):
@@ -92,7 +134,9 @@ class HeckeAlgebra:
 
     def __init__(self, group: WeylGroup):
         self.group = group
-        self.kl_table = KLTable(group.kind)
+        self.kl_table = KLTable(group)
+        # (P_{y,w}(2^B), l(w) - l(y)) -> the coefficient of T_y in C_w
+        self._in_v: dict[tuple[int, int], LaurentPoly] = {}
 
     # -- construction ------------------------------------------------
 
@@ -192,14 +236,20 @@ class HeckeAlgebra:
 
     def kl_element(self, w: WeylElem) -> HeckeElem:
         """The self-dual basis element C_w, read off the KL column of w."""
-        return HeckeElem(self, {
-            y: LaurentPoly({2 * e + y.length - w.length: k for e, k in p.items()})
-            for y, p in self.kl_column(w).items()
-        })
+        self.group.check_elements(w)
+        elems, pool, in_v, coeffs = self.group.elements, self.kl_table._pool, self._in_v, {}
+        for y, n in self._complete_column(w).items():
+            y = elems[y]
+            key = (n, w.length - y.length)
+            c = in_v.get(key)
+            if c is None:
+                c = in_v[key] = LaurentPoly({2 * e - key[1]: k for e, k in pool[n].items()})
+            coeffs[y] = c
+        return HeckeElem(self, coeffs)
 
-    def _complete_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
-        """Compute the column {y: P_{y,w}} into the table, in q, if it is
-        not stored, and return its read-only view.
+    def _complete_column(self, w: WeylElem) -> dict[int, int]:
+        """Compute the packed column {y.index: P_{y,w}(2^B)} into the table
+        if it is not stored, and return it; never modify the result.
 
         With s a left descent of w and v = sw, C_w = (T_s + v^-1) C_v minus
         mu(y, v) C_y over the y < v with sy < y (Kazhdan-Lusztig 1979,
@@ -207,41 +257,49 @@ class HeckeAlgebra:
         sy < y, and mu(y, v) q^((l(w) - l(y))/2) P_{z,y} is taken from P_{z,w}.
         """
         table = self.kl_table
-        if table.column_complete(w):
-            return table.column(w)
+        column = table._packed.get(w.index)
+        if column is not None:
+            return column
         if w.length == 0:
-            table.store({w: {w: _ONE}})
-            return table.column(w)
+            table._store_packed({0: {0: 1}})
+            return table._packed[0]
         shift, elems = self.group.left[self._pick_descent(w) - 1], self.group.elements
         v = elems[shift[w.index]]
-        acc: dict[WeylElem, LaurentPoly] = {}
-        for y, p in self._complete_column(v).items():
-            sy = shift[y.index]
-            down = sy < y.index
-            qp = p.shift(1) if down else p
-            _accumulate(acc, elems[sy], qp)
-            _accumulate(acc, y, qp)
-            # mu(y, v) is the q^((l(v) - l(y) - 1)/2) coefficient of P_{y,v}.
-            gap = v.length - y.length
-            m = p.coefficient((gap - 1) // 2) if down and gap % 2 else 0
-            if m:
-                minus_m = LaurentPoly.term(-m, (gap + 1) // 2)
-                for z, c in self._complete_column(y).items():
-                    _accumulate(acc, z, c * minus_m)
-        if acc.get(w) != _ONE:
+        col_v, pool, top = self._complete_column(v), table._pool, table._max
+        bound, acc = 2 * top[v.index], {}
+        for y, n in col_v.items():
+            sy = shift[y]
+            if sy < y:
+                # mu(y, v) is the q^((l(v) - l(y) - 1)/2) coefficient of P_{y,v}.
+                gap = v.length - elems[y].length
+                m = pool[n].coefficient((gap - 1) // 2) if gap % 2 else 0
+                if m:
+                    digits = (gap + 1) // 2 * _WIDTH
+                    for z, c in self._complete_column(elems[y]).items():
+                        acc[z] = acc.get(z, 0) - (m * c << digits)
+                    bound += abs(m) * top[y]
+                n <<= _WIDTH
+            acc[sy] = acc.get(sy, 0) + n
+            acc[y] = acc.get(y, 0) + n
+        if bound >> (_WIDTH - 1):
+            raise ArithmeticError(f"a coefficient of the KL column of {w!r} may reach {bound}, "
+                                  f"which {_WIDTH}-bit digits cannot hold")
+        if acc.get(w.index) != 1:
             raise ArithmeticError(f"C_{w!r} is not unitriangular")
-        table.store({w: {y: p for y, p in acc.items() if not p.is_zero()}})
-        return table.column(w)
+        table._store_packed({w.index: {y: n for y, n in acc.items() if n}})
+        return table._packed[w.index]
 
     def kl_polynomial(self, y: WeylElem, w: WeylElem) -> LaurentPoly:
         """P_{y,w} as a polynomial in q; zero when y is not below w."""
         self.group.check_elements(y, w)
-        return self._complete_column(w).get(y) or LaurentPoly.zero()
+        n = self._complete_column(w).get(y.index)
+        return LaurentPoly.zero() if n is None else self.kl_table._pool[n]
 
     def kl_column(self, w: WeylElem) -> Mapping[WeylElem, LaurentPoly]:
         """Read-only {y: P_{y,w}} over the y <= w: exactly the nonzero P_{y,w}."""
         self.group.check_elements(w)
-        return self._complete_column(w)
+        self._complete_column(w)
+        return self.kl_table.column(w)
 
     def mu(self, y: WeylElem, w: WeylElem) -> int:
         """Top-degree coefficient of P_{y,w}; needs y < w strictly.
@@ -291,8 +349,3 @@ def _norm(a: HeckeElem) -> int:
 def _min_exp(a: HeckeElem) -> int:
     return min(p.min_exp() for p in a._c.values())
 
-
-def _accumulate(out: dict, w: WeylElem, p: LaurentPoly) -> None:
-    """out[w] += p, for a dict of T-basis coefficients."""
-    q = out.get(w)
-    out[w] = p if q is None else q + p

@@ -5,14 +5,15 @@ Records are length-prefixed and sorted, so saving the same table twice
 produces byte-identical files.  The records of a type are its stored
 columns, each whole: one record per ``y <= w`` in the column of ``w``.
 
-Both directions take one pass over the records.  A table has far fewer
-distinct words and polynomials than entries (F4: 1 152 words and 313
-polynomials in 396 809 entries), so the saver packs each element's word
-and each distinct coefficient block once, and the loader decodes each
-distinct type string, word and coefficient block once.  Every record
-with the same coefficient block stores the same ``LaurentPoly`` object,
-which is immutable, so a loaded table keeps one object per distinct
-polynomial.
+Both directions take one pass over the records and work on the table's
+packed columns (see ``hecke``).  A table has far fewer distinct words
+and polynomials than entries (F4: 1 152 words and 313 polynomials in
+396 809 entries), so the saver encodes each element's word and each
+distinct polynomial once, and the loader decodes each distinct type
+string, word and coefficient block once, packing the block as it does;
+an i64 coefficient is always one balanced digit at the table's width
+of 64 bits.  The table's pool then keeps one ``LaurentPoly`` per
+distinct polynomial.
 
 Loading is all or nothing: every record of the requested type is decoded
 and validated, and its columns checked whole, before any is stored, so a
@@ -59,36 +60,25 @@ def cache_path(directory: str, kind: str) -> str:
     return os.path.join(directory, f"{kind}.klt")
 
 
-def _dense_coeffs(pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """The coefficients of q^0 .. q^deg from sorted (exponent, coefficient) pairs."""
-    if not pairs:
-        return []
-    if pairs[0][0] < 0:
-        raise ValueError("negative exponent in stored polynomial")
-    out = [0] * (pairs[-1][0] + 1)
-    for exp, coeff in pairs:
-        out[exp] = coeff
-    return out
-
-
 def save_kl_table(table: KLTable, path: str) -> int:
     """Write every entry of the table; returns the record count."""
     kind_bytes = table.kind.encode()
     head = bytes((len(kind_bytes),)) + kind_bytes
+    elems = table.group.elements
     words = {}  # element index -> its length byte and letters
-    blocks = {}  # polynomial's (exponent, coefficient) pairs -> its u16 count and i64s
+    blocks = {}  # packed polynomial -> its u16 count and i64s, dense from q^0
     blob = [_MAGIC]
-    for w, column in table.columns():
-        wb = words[w.index] = bytes((w.length, *w.word))
-        for y, poly in sorted(column.items(), key=lambda item: item[0].index):
-            yb = words.get(y.index)
+    for w, column in sorted(table._packed.items()):
+        wb = words[w] = bytes((elems[w].length, *elems[w].word))
+        for y, n in sorted(column.items()):
+            yb = words.get(y)
             if yb is None:
-                yb = words[y.index] = bytes((y.length, *y.word))
-            pairs = poly.items()
-            cb = blocks.get(pairs)
+                yb = words[y] = bytes((elems[y].length, *elems[y].word))
+            cb = blocks.get(n)
             if cb is None:
-                coeffs = _dense_coeffs(pairs)
-                cb = blocks[pairs] = struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs)
+                p = table._pool[n]
+                coeffs = [p.coefficient(e) for e in range(p.max_exp() + 1)] if p else []
+                cb = blocks[n] = struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs)
             blob += (head, yb, wb, cb)
     data = b"".join(blob)
     # A temp file of its own in the target directory: concurrent saves
@@ -147,7 +137,7 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
     number of records loaded; raises ``ValueError``, with nothing stored,
     if the file is malformed or any record or column fails validation.
     """
-    from .laurent import LaurentPoly
+    from .hecke import _WIDTH
 
     with open(path, "rb") as handle:
         data = handle.read()
@@ -157,8 +147,8 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
     kind = group.datum.kind
     kinds = {}  # type string bytes -> str
     words = {}  # letters -> element
-    blocks = {}  # i64 coefficients -> (coeffs, degree, poly)
-    columns = {}  # the validated records, {w: {y: P_{y,w}}}
+    blocks = {}  # i64 coefficients -> (coeffs, degree, P_{y,w}(2^B))
+    columns = {}  # the validated records, {w.index: {y.index: P_{y,w}(2^B)}}
     column_of = column = None
     count = 0
     end, pos = len(data), 4
@@ -194,29 +184,29 @@ def load_kl_table(path: str, hecke: HeckeAlgebra) -> int:
         decoded = blocks.get(block)
         if decoded is None:
             coeffs = struct.unpack(f"<{len(block) // 8}q", block)
-            terms = {e: c for e, c in enumerate(coeffs) if c}
-            poly = LaurentPoly._normalized(terms)
-            decoded = blocks[block] = (coeffs, max(terms, default=0), poly)
-        coeffs, degree, poly = decoded
+            degree = max((e for e, c in enumerate(coeffs) if c), default=0)
+            packed = sum(c << _WIDTH * e for e, c in enumerate(coeffs))
+            decoded = blocks[block] = (coeffs, degree, packed)
+        coeffs, degree, packed = decoded
         problem = _record_problem(y, w, len(yword), len(wword), coeffs, degree)
         if problem:
             raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: {problem}")
         if w is not column_of:
-            column_of, column = w, columns.setdefault(w, {})
-        if y in column:
+            column_of, column = w, columns.setdefault(w.index, {})
+        if y.index in column:
             raise ValueError(f"{path}: record y={tuple(yword)} w={tuple(wword)}: repeated record")
-        column[y] = poly
+        column[y.index] = packed
         count += 1
-    intervals = _lower_intervals(group, (w.index for w in columns))
+    intervals, elems = _lower_intervals(group, columns), group.elements
     for w, column in columns.items():
-        support, interval = {y.index for y in column}, intervals[w.index]
+        support, interval = column.keys(), intervals[w]
         if support != interval:
             if support - interval:
-                y = group.elements[min(support - interval)]
-                raise ValueError(f"{path}: record y={y.word} w={w.word}: "
+                y = elems[min(support - interval)]
+                raise ValueError(f"{path}: record y={y.word} w={elems[w].word}: "
                                  "y is not below w in Bruhat order")
-            y = group.elements[min(interval - support)]
-            raise ValueError(f"{path}: column w={w.word}: no record for y={y.word}, "
+            y = elems[min(interval - support)]
+            raise ValueError(f"{path}: column w={elems[w].word}: no record for y={y.word}, "
                              "which is below w in Bruhat order")
-    hecke.kl_table.store(columns)
+    hecke.kl_table._store_packed(columns)
     return count

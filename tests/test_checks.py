@@ -47,6 +47,20 @@ def test_descent_rule_check_fails_on_a_planted_column():
     assert result.line().startswith("FAIL") and "raised" not in result.detail
 
 
+def test_kl_checks_fail_on_a_planted_entry():
+    suite = _Suite("A3")
+    group = suite.group
+    # P_{s1,w} = 1 becomes 1 + q in the column of the second-longest element;
+    # with l(w) - l(s1) = 4 it still meets the degree bound.
+    w, y = group.elements[-2], group.simple(1)
+    column = dict(suite.hecke.kl_column(w))
+    assert column[y] == LaurentPoly.one() and w.length - y.length >= 3
+    column[y] = column[y] + LaurentPoly.gen()
+    suite.hecke.kl_table.store({w: column})
+    for result in (suite.check_kl_oracle(), suite.check_kl_axioms()):
+        assert result.line().startswith("FAIL") and "raised" not in result.detail
+
+
 def test_suite_seeds_from_the_canonical_type():
     assert _Suite(" a2").rng.getstate() == _Suite("A2").rng.getstate()
 

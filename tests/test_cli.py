@@ -414,8 +414,7 @@ def _loaded_modules(argv, env):
 
 
 # What every command loads: the front end, the group and the renderers.
-_CLI_CORE = {"klblocks.cli", "klblocks.klcache", "klblocks.roots", "klblocks.serialize",
-             "klblocks.weyl"}
+_CLI_CORE = {"klblocks.cli", "klblocks.roots", "klblocks.serialize", "klblocks.weyl"}
 
 
 @pytest.mark.parametrize("argv, layers", [

@@ -11,6 +11,7 @@ from klblocks import (
     save_kl_table,
     weyl_group,
 )
+from klblocks import hecke as hecke_module
 from klblocks.checks import _MaxDescentHecke, kl_bar_solve
 
 V = LaurentPoly.gen()
@@ -131,7 +132,7 @@ def test_b3_full_table_size(hecke_b3, b3):
 
 def test_kl_table_column_semantics(a2):
     # a column is stored whole or not at all
-    table = KLTable("A2")
+    table = KLTable(a2)
     w = a2.word_elem((1, 2))
     assert not table.column_complete(w)
     assert dict(table.column(w)) == {} and len(table) == 0
@@ -143,6 +144,55 @@ def test_kl_table_column_semantics(a2):
     assert len(table) == 4
     assert not table.column_complete(a2.simple(1))
     assert [u for u, _ in table.columns()] == [w]
+
+
+def test_store_refuses_elements_of_another_group(a2, b2):
+    table = KLTable(a2)
+    e = a2.identity
+    for columns in ({b2.simple(1): {b2.identity: ONE, b2.simple(1): ONE}},
+                    {a2.simple(1): {e: ONE, b2.simple(1): ONE}}):
+        with pytest.raises(ValueError, match="Weyl group of B2 used in that of A2"):
+            table.store({e: {e: ONE}, **columns})
+        assert len(table) == 0
+
+
+def test_store_refuses_what_does_not_pack(a2):
+    table = KLTable(a2)
+    e = a2.identity
+    for p in (VINV, LaurentPoly.term(1 << 63, 0), LaurentPoly.term(-1 - (1 << 63), 1)):
+        with pytest.raises(ValueError, match="does not pack at width 64"):
+            table.store({e: {e: ONE}, a2.simple(1): {e: p}})
+        assert len(table) == 0
+    table.store({e: {e: LaurentPoly.term(-(1 << 63), 0) + LaurentPoly.term((1 << 63) - 1, 1)}})
+    assert table.column(e)[e] == LaurentPoly.term(-(1 << 63), 0) + LaurentPoly.term((1 << 63) - 1, 1)
+
+
+def test_computed_equal_polynomials_are_one_object(b3):
+    hecke = HeckeAlgebra(b3)
+    hecke.kl_basis_elements()
+    polys = [p for _, column in hecke.kl_table.columns() for p in column.values()]
+    assert len({id(p) for p in polys}) == len(set(polys)) > 1
+
+
+# The smallest digit width whose bound 2 M_v + sum |mu(y, v)| M_y passes on
+# every column of B3 (every B3 coefficient is 0 or 1).
+_B3_WIDTH = 4
+
+
+def test_digit_width_one_bit_short_raises_and_stores_nothing(monkeypatch, b3):
+    full = HeckeAlgebra(b3)
+    full.kl_basis_elements()
+    monkeypatch.setattr(hecke_module, "_WIDTH", _B3_WIDTH)
+    exact = HeckeAlgebra(b3)
+    exact.kl_basis_elements()
+    assert list(exact.kl_table.columns()) == list(full.kl_table.columns())
+    monkeypatch.setattr(hecke_module, "_WIDTH", _B3_WIDTH - 1)
+    short = HeckeAlgebra(b3)
+    with pytest.raises(ArithmeticError, match=f"{_B3_WIDTH - 1}-bit digits") as raised:
+        short.kl_basis_elements()
+    # the columns before the failing one, in index order, are stored; it is not
+    failing = next(w for w in b3.elements if not short.kl_table.column_complete(w))
+    assert repr(failing) in str(raised.value)
 
 
 def test_degree_bound(hecke_b3, b3):
