@@ -379,8 +379,7 @@ def translate_onto_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) ->
     out: K0Vector = {}
     for w, p in vec.items():
         d, u = wall.group.coset_factorize(w, wall.J)
-        q = p * LaurentPoly.gen(-u.length)
-        out[d] = out.get(d, LaurentPoly.zero()) + q
+        out[d] = out.get(d, LaurentPoly.zero()) + p.shift(-u.length)
     return {w: p for w, p in out.items() if not p.is_zero()}
 
 
@@ -397,8 +396,7 @@ def translate_out_of_wall(wall: BlockDesc, vec: Mapping[WeylElem, LaurentPoly]) 
     for d, p in vec.items():
         for u in w_elems:
             w = d * u
-            q = p * LaurentPoly.gen(u.length - top)
-            out[w] = out.get(w, LaurentPoly.zero()) + q
+            out[w] = out.get(w, LaurentPoly.zero()) + p.shift(u.length - top)
     return {w: p for w, p in out.items() if not p.is_zero()}
 
 

@@ -14,7 +14,9 @@ A check is a ``_Suite`` method declared with ``@_check(name)``, which
 files it in the catalogue, in definition order, under that name.  Its
 body returns the detail of a pass, raises ``_Fail(detail)`` on a
 violation and ``_Skip(reason)`` where it has no form at this size; any
-other exception is reported as a failure of the same check.
+other exception is reported as a failure of the same check.  The suite
+builds each block it reads once, when it is made, and keeps them in one
+dict keyed by (I, J).
 
 Quadratic loops are exhaustive for the group orders where that is cheap
 and fall back to seeded random samples beyond; the ``detail`` string
@@ -286,9 +288,23 @@ class _Suite:
         self.group = weyl_group_of_kind(kind)
         self.hecke = HeckeAlgebra(self.group)
         self.coinv = CoinvariantAlgebra(self.group)
-        self.rng = random.Random(20240 + len(self.group.kind))
+        self.rng = random.Random(f"checks:{self.group.kind}")
         self.subsets = _subset_list(self.group.rank)
-        self.regular = standard_block(self.group, (), ())
+        # Each block a check reads, built once and keyed by (I, J): every
+        # pair of subsets up to rank 4 (empty, {1} and the full set beyond),
+        # then the singular blocks (empty, J) and the parabolic blocks (J, empty).
+        if 4 ** self.group.rank <= 256:
+            sides = self.subsets
+        else:
+            sides = [frozenset(), frozenset({1}), frozenset(range(1, self.group.rank + 1))]
+        pairs = [(I, J) for I in sides for J in sides]
+        none = frozenset()
+        keys = pairs + [(none, J) for J in self.subsets] + [(J, none) for J in self.subsets]
+        self.blocks = {key: standard_block(self.group, *key) for key in dict.fromkeys(keys)}
+        # The nonempty paired blocks, in pair order: what the inverse-pair
+        # and Cartan checks read.
+        self.paired = [self.blocks[key] for key in pairs if self.blocks[key].index_set]
+        self.regular = self.blocks[none, none]
 
     # -- exact scalar layers -----------------------------------------
 
@@ -798,29 +814,14 @@ class _Suite:
 
     # -- graded block matrices ---------------------------------------
 
-    def _block_pairs(self):
-        if 4 ** self.group.rank <= 256:
-            for I in self.subsets:
-                for J in self.subsets:
-                    yield I, J
-        else:
-            small = [frozenset(), frozenset({1}), frozenset(range(1, self.group.rank + 1))]
-            for I in small:
-                for J in small:
-                    yield I, J
-
     @_check("graded inverse pair")
     def check_inverse_pair(self) -> str:
         h = self.hecke
-        count = 0
-        for I, J in self._block_pairs():
-            block = standard_block(self.group, I, J)
-            if not block.index_set:
-                continue
+        for block in self.paired:
             d = decomposition_matrix(block, h)
             e = inverse_decomposition_matrix(block, h)
             if not (d @ e).is_identity():
-                raise _Fail(f"I={sorted(I)} J={sorted(J)}")
+                raise _Fail(f"I={sorted(block.I)} J={sorted(block.J)}")
             for a, x in enumerate(d.rows):
                 for b, y in enumerate(d.cols):
                     entry = d.entries[a][b]
@@ -830,53 +831,43 @@ class _Suite:
                         raise _Fail("negativity")
                     if entry != LaurentPoly.zero() and entry.min_exp() < 0:
                         raise _Fail("grading")
-            count += 1
-        return f"{count} nonempty blocks"
+        return f"{len(self.paired)} nonempty blocks"
 
     @_check("cartan symmetry")
     def check_cartan_symmetry(self) -> str:
         h = self.hecke
-        for I, J in self._block_pairs():
-            block = standard_block(self.group, I, J)
-            if not block.index_set:
-                continue
+        for block in self.paired:
             c = graded_cartan_matrix(block, h)
             if c != c.transpose():
-                raise _Fail(f"I={sorted(I)} J={sorted(J)}")
+                raise _Fail(f"I={sorted(block.I)} J={sorted(block.J)}")
         return ""
 
     @_check("specialized route agreement")
     def check_special_routes(self) -> str:
-        group = self.group
         h = self.hecke
         for J in self.subsets:
-            block = standard_block(group, (), J)
+            block = self.blocks[frozenset(), J]
             if decomposition_by_lookup(block, h) != decomposition_matrix(block, h):
                 raise _Fail(f"J={sorted(J)}")
-            pblock = standard_block(group, J, ())
-            if not pblock.index_set:
-                continue
+            pblock = self.blocks[J, frozenset()]
             if decomposition_by_lookup(pblock, h) != decomposition_matrix(pblock, h):
                 raise _Fail(f"I={sorted(J)}")
         return f"{len(self.subsets)} each side"
 
     @_check("graded length bounds")
     def check_graded_lengths(self) -> str:
-        group = self.group
         h = self.hecke
         for J in self.subsets:
-            block = standard_block(group, (), J)
-            for row in graded_length_report(block, h):
+            for row in graded_length_report(self.blocks[frozenset(), J], h):
                 if not row.ok:
                     raise _Fail(f"J={sorted(J)} x={row.x!r}")
         return f"{len(self.subsets)} blocks"
 
     @_check("graded dimension palindromicity")
     def check_palindromic(self) -> str:
-        group = self.group
         h = self.hecke
         for J in self.subsets:
-            block = standard_block(group, (), J)
+            block = self.blocks[frozenset(), J]
             center = vp_center(block)
             for x in block.index_set:
                 vp = vp_graded_dimension(block, h, x)
@@ -902,7 +893,7 @@ class _Suite:
         group = self.group
         h = self.hecke
         for J in self.subsets:
-            sing = standard_block(group, (), J)
+            sing = self.blocks[frozenset(), J]
             target = h.kl_element(group.parabolic_longest(J))
             for x in group.min_coset_reps(J):
                 comp = translation_composite(sing, x)

@@ -446,50 +446,43 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="klblocks", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, subsets=False, matrix=False,
+    def add(name, handler, help_text, *, subsets="", matrix=False,
             word_flags=(), formats=("table", "json")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--type", required=True, help="root system type, e.g. B3")
         p.add_argument("--format", choices=formats, default="table")
-        if subsets:
-            p.add_argument("--I", type=_parse_subset, default=frozenset(),
-                           help="comma-separated simple indices (1-based)")
-            p.add_argument("--J", type=_parse_subset, default=frozenset(),
+        for flag, help_word in word_flags:
+            p.add_argument(flag, required=True, help=help_word)
+        for letter in subsets:
+            p.add_argument(f"--{letter}", type=_parse_subset, default=frozenset(),
                            help="comma-separated simple indices (1-based)")
         if matrix:
             p.add_argument("--eval-v", type=int, default=None, dest="eval_v",
                            help="append the specialization at this integer")
-        for flag, help_word in word_flags:
-            p.add_argument(flag, required=True, help=help_word)
         p.set_defaults(handler=handler)
-        return p
 
     add("root-system", _cmd_root_system, "Cartan matrix and positive roots")
-    add("weyl", _cmd_weyl, "elements and coset representatives", subsets=True)
+    add("weyl", _cmd_weyl, "elements and coset representatives", subsets="IJ")
     add("kl", _cmd_kl, "one Kazhdan-Lusztig polynomial",
         word_flags=(("--y", "lower reduced word"), ("--w", "upper reduced word")))
     add("schubert", _cmd_schubert, "product of two Schubert classes",
         word_flags=(("--x", "first reduced word"), ("--y", "second reduced word")))
-    p = add("gram", _cmd_gram, "Gram matrix of the parabolic symmetrizing form",
-            formats=("table", "json", "csv"))
-    p.add_argument("--J", type=_parse_subset, default=frozenset(),
-                   help="comma-separated simple indices (1-based)")
+    add("gram", _cmd_gram, "Gram matrix of the parabolic symmetrizing form", subsets="J",
+        formats=("table", "json", "csv"))
     add("decomp", _matrix_command("decomposition_matrix"),
-        "graded decomposition matrix", subsets=True, matrix=True,
+        "graded decomposition matrix", subsets="IJ", matrix=True,
         formats=("table", "json", "csv"))
     add("inverse-decomp", _matrix_command("inverse_decomposition_matrix"),
-        "inverse graded decomposition matrix", subsets=True, matrix=True,
+        "inverse graded decomposition matrix", subsets="IJ", matrix=True,
         formats=("table", "json", "csv"))
     add("cartan", _matrix_command("graded_cartan_matrix"),
-        "graded Cartan matrix", subsets=True, matrix=True,
+        "graded Cartan matrix", subsets="IJ", matrix=True,
         formats=("table", "json", "csv"))
-    add("vp-dims", _cmd_vp_dims, "graded dimensions on the wall", subsets=True)
+    add("vp-dims", _cmd_vp_dims, "graded dimensions on the wall", subsets="IJ")
     add("bott-samelson", _cmd_bott_samelson, "decompose one Bott-Samelson word",
         word_flags=(("--word", "generator word, e.g. 1,2,1"),))
-    p = add("translate", _cmd_translate, "through-wall translation of one Verma",
-            word_flags=(("--x", "minimal representative word"),))
-    p.add_argument("--J", type=_parse_subset, default=frozenset(),
-                   help="comma-separated simple indices (1-based)")
+    add("translate", _cmd_translate, "through-wall translation of one Verma", subsets="J",
+        word_flags=(("--x", "minimal representative word"),))
     add("check-all", _cmd_check_all, "run the full cross-validation suite")
     return parser
 

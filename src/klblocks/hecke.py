@@ -32,10 +32,11 @@ value to its one ``LaurentPoly``: the recursion is int additions and
 shifts, and equal polynomials are one object.  With M_u the largest
 coefficient magnitude in the column of u, every coefficient the step to
 w meets is at most 2 M_v + sum |mu(y, v)| M_y, so a sum of 2^(B-1) or
-more raises ArithmeticError before the column is stored.  C_w is read
-off the column of w when asked for; nothing keeps C_w itself.  Tables
-are safe to share across threads only because columns are
-deterministic; confine a table to one thread if that bothers you.
+more raises ArithmeticError before the column is stored.  A column's
+read-only view and C_w are built off the packed column of w when asked
+for; nothing keeps views or C_w.  Tables are safe to share across
+threads only because columns are deterministic; confine a table to one
+thread if that bothers you.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class KLTable:
         self._max: dict[int, int] = {}  # w.index -> M_w, largest |coefficient| in the column
         self._pool: dict[int, LaurentPoly] = {}  # packed value -> its one polynomial
         self._sizes: dict[int, int] = {}  # packed value -> largest |coefficient|
-        self._views: dict[int, Mapping[WeylElem, LaurentPoly]] = {}
 
     def store(self, columns: Mapping[WeylElem, Mapping[WeylElem, LaurentPoly]]) -> None:
         """Store each column {y: P_{y,w}} of {w: column} whole, in place of any stored one.
@@ -91,7 +91,6 @@ class KLTable:
                 sizes[n] = max((abs(k) for _, k in p.items()), default=0)
             self._max[w] = max(map(sizes.__getitem__, values), default=0)
             self._packed[w] = column
-            self._views.pop(w, None)
 
     def column_complete(self, w: WeylElem) -> bool:
         """Whether w has a stored column."""
@@ -101,12 +100,8 @@ class KLTable:
         """Read-only view of the stored column {y: P_{y,w}}; empty if there is none."""
         if not self.column_complete(w):
             return _EMPTY
-        view = self._views.get(w.index)
-        if view is None:
-            elems, pool = self.group.elements, self._pool
-            view = self._views[w.index] = MappingProxyType(
-                {elems[y]: pool[n] for y, n in self._packed[w.index].items()})
-        return view
+        elems, pool = self.group.elements, self._pool
+        return MappingProxyType({elems[y]: pool[n] for y, n in self._packed[w.index].items()})
 
     def columns(self) -> Iterator[tuple[WeylElem, Mapping[WeylElem, LaurentPoly]]]:
         """Each stored column as (w, read-only {y: P_{y,w}}), in index order of w."""

@@ -1,6 +1,13 @@
 import pytest
 
-from klblocks import HeckeAlgebra, LaurentPoly, divide_by_linear, run_all_checks, weyl_group
+from klblocks import (
+    HeckeAlgebra,
+    LaurentPoly,
+    divide_by_linear,
+    run_all_checks,
+    standard_block,
+    weyl_group,
+)
 from klblocks.checks import (
     _CATALOGUE,
     CheckResult,
@@ -63,6 +70,24 @@ def test_kl_checks_fail_on_a_planted_entry():
 
 def test_suite_seeds_from_the_canonical_type():
     assert _Suite(" a2").rng.getstate() == _Suite("A2").rng.getstate()
+    # Types with names of one length draw from streams of their own.
+    states = [_Suite(kind).rng.getstate() for kind in ("A2", "B2", "G2", "A3")]
+    assert len(set(states)) == len(states)
+
+
+@pytest.mark.parametrize("kind, distinct", [("A2", 16), ("B3", 64)])
+def test_check_all_builds_each_block_once(monkeypatch, kind, distinct):
+    from klblocks import checks
+
+    built = []
+
+    def counting(group, I, J):
+        built.append((frozenset(I), frozenset(J)))
+        return standard_block(group, I, J)
+
+    monkeypatch.setattr(checks, "standard_block", counting)
+    assert all(result.passed for result in run_all_checks(kind))
+    assert len(built) == len(set(built)) == distinct
 
 
 @pytest.mark.parametrize("kind", ["A2", "G2", "A3", "B3"])

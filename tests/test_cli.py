@@ -305,6 +305,30 @@ def test_reused_parser_prints_what_a_fresh_one_does(capsys, argv):
     assert capsys.readouterr() == first[1]
 
 
+# sha256 of --help at 80 columns, recorded while gram and translate still
+# declared their --J by hand: flags, order and help texts must stay put.
+@pytest.mark.parametrize("command, digest", [
+    (None, "032f4d034704a1f439b566d4950cb17abb6110dcffdd9d1f7ec5c844dd7e2b67"),
+    ("root-system", "f795ad39a48d6d00f9ad6d26b851f2e4910225a3d9e18b0b93a296f05d2ec119"),
+    ("weyl", "64f5d8e5d22279df287aa83f16445cfe0d903b3c6cfd1160128a25e96adb733f"),
+    ("kl", "d4b23108832c8bfae9f0b2bf57a65efb0301bc95f542efc2da0a446bbe7ee501"),
+    ("schubert", "bd510b92b7203667d3f1fff993bbae20ae8ab94076b399565e503f893ea3b28f"),
+    ("gram", "472f4e1369370ecd5712a446d4c3891f78be4d9257247d6479f4e7c0dd602a1a"),
+    ("decomp", "75e230ea5063a3db3c4ffb8ee45bec989cbde433a325475e466bcac0eae268f0"),
+    ("inverse-decomp", "c8c974dabcc29eef54f6a09aee269365c20f033ed56bec9b184319e8db2d9fa1"),
+    ("cartan", "6c5a5e754c268f4349591a9a5adff267f834090f67f85ad4aff78035efd191cc"),
+    ("vp-dims", "731201441eadad30ffb201782f7a741f261019a9e941f200fe5c9c5f83966bce"),
+    ("bott-samelson", "edefe85e31b966b6fb393c5b1b15261fd26a28e77ec9d1456cebbe35ed7d5733"),
+    ("translate", "2c4d9c0715cc9a61cf2bebd47e88effcca62246e4823fe0de76b22e6a9fb2f0c"),
+    ("check-all", "9986cf8c68baebc798621717603b9e45c1b29f01e321f9029e943bd828922ed4"),
+])
+def test_help_bytes_are_stable(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"] if command else ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of stdout, recorded before the Schubert layer moved to integer
 # divided differences: the output must not drift with the engine.
 @pytest.mark.parametrize("argv, digest", [
