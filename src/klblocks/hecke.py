@@ -24,8 +24,9 @@ its division by v is exact.
 
 The KLTable is the only store of KL data: columns {w: {y: P_{y,w}}} in
 q = v^2, each stored whole or not at all.  A stored column holds
-P_{y,w} for exactly the y <= w, whether the recursion computed it or
-``klcache`` loaded it, so a reloaded table is used without recursion.
+P_{y,w} for exactly the y <= w: the recursion computes it so, and
+``klcache``'s loader and ``KLTable.store`` refuse any other column, so a
+reloaded table is used without recursion and a saved one needs no y.
 Each column is kept packed, {y.index: P_{y,w}(2^B)} with B = _WIDTH
 read back in balanced digits, and one pool per table maps each packed
 value to its one ``LaurentPoly``: the recursion is int additions and
@@ -70,7 +71,8 @@ class KLTable:
         """Store each column {y: P_{y,w}} of {w: column} whole, in place of any stored one.
 
         Raises ValueError, storing nothing, for an element of another group,
-        a negative exponent or a coefficient outside [-2^(B-1), 2^(B-1)).
+        a negative exponent, a coefficient outside [-2^(B-1), 2^(B-1)) or a
+        column whose y are not exactly the Bruhat interval [e, w].
         """
         half, packed = 1 << (_WIDTH - 1), {}
         for w, column in columns.items():
@@ -79,6 +81,10 @@ class KLTable:
                 if p and (p.min_exp() < 0 or any(not -half <= k < half for _, k in p.items())):
                     raise ValueError(f"{p} in the column of {w!r} does not pack at width {_WIDTH}")
             packed[w.index] = {y.index: p.pack(0, _WIDTH) for y, p in column.items()}
+        intervals = self.group.lower_intervals(packed)
+        for w, column in columns.items():
+            if packed[w.index].keys() != intervals[w.index]:
+                raise ValueError(f"the column of w = {w!r} is not indexed by [e, w]")
         self._store_packed(packed)
 
     def _store_packed(self, columns: dict[int, dict[int, int]]) -> None:

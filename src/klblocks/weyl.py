@@ -29,8 +29,9 @@ then the word of s_i x.  So every set of elements closes under
 x -> s_i x into one tree of words rooted at e, and ``suffix_closure``
 lists it in index order, each s_i x before x: a walk over that list
 applies one generator step per node to serve a whole set of words.
-The Hecke product and bar involution, and the Demazure images of the
-Schubert layer, are such walks.
+The Hecke product and bar involution, the Demazure images of the
+Schubert layer and the Bruhat intervals [e, x] of ``lower_intervals``
+are such walks.
 
 ``Combination`` is a finite sum of coefficients times group elements,
 sum_w c_w b_w: the one type behind Hecke elements (Laurent polynomials
@@ -328,6 +329,21 @@ class WeylGroup:
                 x = row[x]
             y = row[y]
         return x <= y
+
+    def lower_intervals(self, indices: Iterable[int]) -> dict[int, frozenset[int]]:
+        """{x: the indices of [e, x]} over ``suffix_closure(indices)``.
+
+        One walk up the tree of canonical words: with s the first letter of
+        x's word and v = s x < x, the lifting property gives
+        [e, x] = [e, v] | s [e, v] (V. Deodhar, Invent. Math. 39 (1977)).
+        """
+        left, elems = self.left, self.elements
+        intervals = {0: frozenset((0,))}
+        for x in self.suffix_closure(indices)[1:]:
+            row = left[elems[x].word[0] - 1]
+            below = intervals[row[x]]
+            intervals[x] = below.union([row[y] for y in below])
+        return intervals
 
     # -- parabolic structure -----------------------------------------
 

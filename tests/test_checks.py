@@ -4,6 +4,7 @@ from klblocks import (
     HeckeAlgebra,
     LaurentPoly,
     divide_by_linear,
+    klcache,
     run_all_checks,
     standard_block,
     weyl_group,
@@ -66,6 +67,23 @@ def test_kl_checks_fail_on_a_planted_entry():
     suite.hecke.kl_table.store({w: column})
     for result in (suite.check_kl_oracle(), suite.check_kl_axioms()):
         assert result.line().startswith("FAIL") and "raised" not in result.detail
+
+
+def test_kl_cache_check_fails_on_a_planted_load(monkeypatch):
+    # After a real load, P_{e,w0} = 1 reads 1 + q in the loaded table.
+    real = klcache.load_kl_table
+
+    def load(path, hecke):
+        count = real(path, hecke)
+        w0, e = hecke.group.w0, hecke.group.identity
+        column = dict(hecke.kl_table.column(w0))
+        column[e] = column[e] + LaurentPoly.gen()
+        hecke.kl_table.store({w0: column})
+        return count
+
+    monkeypatch.setattr(klcache, "load_kl_table", load)
+    result = _Suite("A3").check_kl_cache()
+    assert result.line().startswith("FAIL") and "raised" not in result.detail
 
 
 def test_suite_seeds_from_the_canonical_type():

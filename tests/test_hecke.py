@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -153,6 +154,17 @@ def test_store_refuses_elements_of_another_group(a2, b2):
                     {a2.simple(1): {e: ONE, b2.simple(1): ONE}}):
         with pytest.raises(ValueError, match="Weyl group of B2 used in that of A2"):
             table.store({e: {e: ONE}, **columns})
+        assert len(table) == 0
+
+
+def test_store_refuses_a_column_off_its_interval(a3):
+    # [e, s1 s2] = {e, s1, s2, s1 s2}; the last column has its size, not its y
+    table = KLTable(a3)
+    e, s1, s2, s3, w = a3.identity, a3.simple(1), a3.simple(2), a3.simple(3), a3.word_elem((1, 2))
+    problem = re.escape("column of w = <A3 1.2> is not indexed by [e, w]")
+    for ys in ((e, s1, s2, s3, w), (s1, s2, w), (e, s1, s3, w)):
+        with pytest.raises(ValueError, match=problem):
+            table.store({e: {e: ONE}, w: {y: ONE for y in ys}})
         assert len(table) == 0
 
 

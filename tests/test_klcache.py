@@ -9,12 +9,12 @@ import pytest
 from klblocks import (
     HeckeAlgebra,
     cache_path,
+    klcache,
     load_kl_table,
     save_kl_table,
     weyl_group,
 )
 from klblocks.checks import bruhat_closure_leq
-from klblocks.klcache import _lower_intervals
 
 
 def full_table(hecke):
@@ -97,31 +97,75 @@ def test_truncated_file(tmp_path, a2):
         load_kl_table(path, target)
 
 
-def _record(yword, wword, coeffs, kind="A2"):
-    """One record in the file layout, built independently of the saver."""
-    def word(letters):
-        return struct.pack(f"<B{len(letters)}B", len(letters), *letters)
+def _section(kind, pool, columns):
+    """One section in the file layout, built independently of the saver.
 
-    return (struct.pack("<B", len(kind)) + kind.encode() + word(yword) + word(wword)
-            + struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs))
+    kind is the type string (bytes are written as they are), pool a list
+    of coefficient tuples and columns a list of (word of w, pool ids).
+    """
+    kind = kind.encode() if isinstance(kind, str) else kind
+    body = struct.pack("<H", len(pool))
+    for coeffs in pool:
+        body += struct.pack(f"<H{len(coeffs)}q", len(coeffs), *coeffs)
+    body += struct.pack("<I", len(columns))
+    for word, ids in columns:
+        body += struct.pack(f"<B{len(word)}BI{len(ids)}H", len(word), *word, len(ids), *ids)
+    return struct.pack("<B", len(kind)) + kind + struct.pack("<I", len(body)) + body
 
 
+def _layout(table):
+    """(pool, columns) of a table as ``_section`` takes them: columns in
+    index order of w, one id per y in index order of y, and the pool in
+    order of first use."""
+    pool, columns = [], []
+    for w, column in table.columns():
+        ids = []
+        for y in sorted(column, key=lambda y: y.index):
+            p = column[y]
+            coeffs = tuple(p.coefficient(e) for e in range(p.max_exp() + 1))
+            if coeffs not in pool:
+                pool.append(coeffs)
+            ids.append(pool.index(coeffs))
+        columns.append((w.word, ids))
+    return pool, columns
+
+
+@pytest.mark.parametrize("kind", ["A3", "B3"])
+def test_saved_file_follows_the_layout(tmp_path, kind):
+    table = full_table(HeckeAlgebra(weyl_group(kind)))
+    path = Path(cache_path(tmp_path, kind))
+    save_kl_table(table, path)
+    assert path.read_bytes() == b"KLT2" + _section(kind, *_layout(table))
+
+
+def _without_w0(a2):
+    """The KL table of A2 with every column but that of w0."""
+    partial = HeckeAlgebra(a2)
+    partial.kl_basis_elements(a2.elements[:-1])
+    return partial.kl_table
+
+
+# [e, w0] of A2 is e, 1, 2, 1.2, 2.1, 1.2.1 in index order.
 @pytest.mark.parametrize("tail, problem", [
-    (_record((1, 1), (1, 2), (1,)), "not reduced"),
-    (_record((1, 2), (1, 2), (1, 1)), "P_{w,w} is not 1"),
-    (_record((1, 2), (2, 1), (1,)), "l(y) >= l(w)"),
-    (_record((1,), (1, 2), (1, 1)), "degree"),
-    (_record((1,), (1, 2), (2,)), "constant term of P_{y,w} is not 1"),
+    (_section("A2", [(1,)], [((1, 2, 1, 1, 1), [0] * 6)]), "not reduced"),
+    (_section("A2", [(1,), (1, 1)], [((1, 2, 1), [0] * 5 + [1])]), "P_{w,w} is not 1"),
+    (_section("A2", [(1,), (1, 1)], [((1, 2, 1), [0, 0, 0, 1, 0, 0])]),
+     "y=(1, 2) w=(1, 2, 1): degree"),
+    (_section("A2", [(1,), (2,)], [((1, 2, 1), [0, 1, 0, 0, 0, 0])]),
+     "y=(1,) w=(1, 2, 1): constant term of P_{y,w} is not 1"),
     (None, "truncated"),
-], ids=["non-reduced-word", "diagonal-not-one", "length-not-below", "degree-too-high",
+], ids=["non-reduced-word", "diagonal-not-one", "degree-too-high",
         "constant-term-not-one", "truncated-tail"])
 def test_bad_file_merges_nothing(tmp_path, a2, tail, problem):
-    # every bad part follows a full set of valid records, none of which may
+    # every bad column follows a section of valid ones, none of which may
     # reach the table
     path = Path(cache_path(tmp_path, "A2"))
-    save_kl_table(full_table(HeckeAlgebra(a2)), path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-3] if tail is None else data + tail)
+    if tail is None:
+        save_kl_table(full_table(HeckeAlgebra(a2)), path)
+        path.write_bytes(path.read_bytes()[:-3])
+    else:
+        save_kl_table(_without_w0(a2), path)
+        path.write_bytes(path.read_bytes() + tail)
     target = HeckeAlgebra(weyl_group("A2"))
     with pytest.raises(ValueError, match=re.escape(problem)):
         load_kl_table(path, target)
@@ -129,12 +173,13 @@ def test_bad_file_merges_nothing(tmp_path, a2, tail, problem):
 
 
 def test_record_outside_bruhat_support_merges_nothing(tmp_path, a3):
-    # P_{s3, s1s2} = 1 passes every length, degree and constant-term test,
-    # but s3 is not below s1 s2; stored, it would make mu answer 1.
+    # [e, s1 s2] has four elements.  A fifth id, of P = 1, passes every
+    # degree and constant-term test, but it can only stand for a y not
+    # below s1 s2 (s3, say); stored, it would make mu answer 1.
     path = tmp_path / "A3.klt"
-    path.write_bytes(b"KLT1" + _record((3,), (1, 2), (1,), kind="A3"))
+    path.write_bytes(b"KLT2" + _section("A3", [(1,)], [((1, 2), [0] * 5)]))
     target = HeckeAlgebra(a3)
-    with pytest.raises(ValueError, match="not below w in Bruhat order"):
+    with pytest.raises(ValueError, match=re.escape("5 entries, but [e, w] has 4 elements")):
         load_kl_table(path, target)
     assert len(target.kl_table) == 0
     with pytest.raises(ValueError, match="strictly below"):
@@ -155,9 +200,9 @@ def test_resave_is_byte_identical(tmp_path, a2):
     assert path2.read_bytes() == first
 
 
-# sha256 of the full B3 table file, recorded before the in-memory table
-# was keyed by column: the file format must not drift with it.
-B3_TABLE_SHA256 = "93c3427ada1d229f4ffba47c93a8e467589d2bbb039ae02e1c485cf48565709c"
+# sha256 of the full B3 table file in the KLT2 layout: the file must
+# not drift with the in-memory table.
+B3_TABLE_SHA256 = "8666b7d87766d785fce116bc61719ea09d83c91e3757ea80d3e709e5bb8b7173"
 
 
 def test_b3_cache_bytes_are_stable(tmp_path, b3):
@@ -166,11 +211,11 @@ def test_b3_cache_bytes_are_stable(tmp_path, b3):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == B3_TABLE_SHA256
 
 
-# sha256 and record count of the full A4 and D4 table files: rank-4 types
-# whose files hold more distinct words and coefficient blocks than B3's.
+# sha256 and record count of the full A4 and D4 table files in the KLT2
+# layout: rank-4 types whose pools hold more polynomials than B3's.
 TABLE_SHA256 = {
-    "A4": (3781, "982285489b882d374aeb0c6f2451a7ed1b634e0e7ce5ed3f768672f8aa48f6ae"),
-    "D4": (9817, "09b8ce0f2336b8af308fa227c135a39629ef4d0eda61d6fb70b622a5d0ffb70e"),
+    "A4": (3781, "461531525f647d566ccee32fc23813ab457aed95d247e0a78f367eb8a1b7a4af"),
+    "D4": (9817, "1a3233bd44557e7fc2907e48d738cc6a1af81eba343637237664063aa84b62ae"),
 }
 
 
@@ -216,76 +261,64 @@ def test_failed_save_leaves_no_temp_file(tmp_path, a2, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _records(data):
-    """(end offset, y word, w word) of each record, read off the layout
-    independently of the loader."""
-    records, pos = [], 4
-    while pos < len(data):
-        pos += 1 + data[pos]
-        yword = tuple(data[pos + 1:pos + 1 + data[pos]])
-        pos += 1 + data[pos]
-        wword = tuple(data[pos + 1:pos + 1 + data[pos]])
-        pos += 1 + data[pos]
-        pos += 2 + 8 * struct.unpack_from("<H", data, pos)[0]
-        records.append((pos, yword, wword))
-    assert pos == len(data)
-    return records
-
-
 def test_every_cut_inside_a_record_merges_nothing(tmp_path, b2):
-    # A cut at the end of a column is a shorter valid file.  Anywhere else
-    # it leaves a partial record, or a column without all of its records;
-    # either must fail with nothing merged.
+    # A cut anywhere past the magic leaves the section shorter than its
+    # length says; with that length mended to the cut, the section's
+    # contents end early.  Either must fail with nothing merged.
     path = Path(cache_path(tmp_path, "B2"))
     save_kl_table(full_table(HeckeAlgebra(b2)), path)
     data = path.read_bytes()
-    records = _records(data)
-    ends = {end for end, _, _ in records}
-    column_ends = {end: count for count, (end, _, w) in enumerate(records, 1)
-                   if count == len(records) or records[count][2] != w}
+    body = 4 + 1 + len("B2") + 4  # magic, type string, section length
     for cut in range(4, len(data)):
         path.write_bytes(data[:cut])
         target = HeckeAlgebra(weyl_group("B2"))
-        if cut == 4 or cut in column_ends:
-            count = column_ends.get(cut, 0)
-            assert load_kl_table(path, target) == count == len(target.kl_table)
+        if cut == 4:
+            assert load_kl_table(path, target) == 0 == len(target.kl_table)
             continue
-        with pytest.raises(ValueError, match="no record for" if cut in ends else "truncated"):
+        with pytest.raises(ValueError, match="truncated"):
             load_kl_table(path, target)
+        if cut >= body:
+            mended = data[:body - 4] + struct.pack("<I", cut - body) + data[body:cut]
+            path.write_bytes(mended)
+            with pytest.raises(ValueError, match="section length does not match"):
+                load_kl_table(path, target)
         assert len(target.kl_table) == 0, cut
 
 
 def test_column_missing_a_record_merges_nothing(tmp_path, a2):
-    # Without its (e, w0) record, the column of w0 would read P_{e,w0} = 0.
+    # A column one id short: without the id of (e, w0), the column of w0
+    # would read P_{e,w0} = 0, and no id can be placed by its y.
+    pool, columns = _layout(full_table(HeckeAlgebra(a2)))
+    word, ids = columns[-1]
+    assert word == a2.w0.word and len(ids) == 6
+    columns[-1] = (word, ids[1:])
     path = Path(cache_path(tmp_path, "A2"))
-    save_kl_table(full_table(HeckeAlgebra(a2)), path)
-    data = path.read_bytes()
-    kept, start = [data[:4]], 4
-    for end, yword, wword in _records(data):
-        if (yword, wword) != ((), a2.w0.word):
-            kept.append(data[start:end])
-        start = end
-    assert len(kept) == 1 + 18
-    path.write_bytes(b"".join(kept))
+    path.write_bytes(b"KLT2" + _section("A2", pool, columns))
     target = HeckeAlgebra(weyl_group("A2"))
-    with pytest.raises(ValueError, match=re.escape("no record for y=()")):
+    with pytest.raises(ValueError, match=re.escape("w=(1, 2, 1): 5 entries, but [e, w] has 6")):
         load_kl_table(path, target)
     assert len(target.kl_table) == 0
     assert target.kl_polynomial(a2.identity, a2.w0).items() == ((0, 1),)
 
 
 def test_repeated_record_merges_nothing(tmp_path, a3):
-    # P_{2, 2.1.3.2} = 1 + q.  A second record with P = 1 passes every
-    # per-record check; stored, it would make mu(2, 2.1.3.2) read 0.
+    # P_{2, 2.1.3.2} = 1 + q.  A second column of 2.1.3.2 with every P = 1
+    # passes every per-column check; stored, it would make mu(2, 2.1.3.2)
+    # read 0.  It is refused within one section and across two.
     y, w = a3.simple(2), a3.word_elem((2, 1, 3, 2))
+    table = full_table(HeckeAlgebra(a3))
     path = Path(cache_path(tmp_path, "A3"))
-    save_kl_table(full_table(HeckeAlgebra(a3)), path)
-    path.write_bytes(path.read_bytes() + _record((2,), (2, 1, 3, 2), (1,), kind="A3"))
-    target = HeckeAlgebra(weyl_group("A3"))
-    with pytest.raises(ValueError, match="repeated record"):
-        load_kl_table(path, target)
-    assert len(target.kl_table) == 0
-    assert target.mu(y, w) == 1
+    save_kl_table(table, path)
+    pool, columns = _layout(table)
+    again = (w.word, [pool.index((1,))] * len(table.column(w)))
+    for data in (b"KLT2" + _section("A3", pool, columns + [again]),
+                 path.read_bytes() + _section("A3", pool, [again])):
+        path.write_bytes(data)
+        target = HeckeAlgebra(weyl_group("A3"))
+        with pytest.raises(ValueError, match="repeated column"):
+            load_kl_table(path, target)
+        assert len(target.kl_table) == 0
+        assert target.mu(y, w) == 1
 
 
 @pytest.mark.parametrize("kind", ["B3", "D4"])
@@ -294,12 +327,12 @@ def test_lower_intervals_match_the_bruhat_closure(kind):
     below = {w.index: set() for w in group.elements}
     for x, y in bruhat_closure_leq(group):
         below[y].add(x)
-    assert _lower_intervals(group, range(len(group.elements))) == below
+    assert group.lower_intervals(range(len(group.elements))) == below
 
 
 @pytest.mark.parametrize("tail, problem", [
-    (b"\x02A\xff" + _record((1,), (1,), (1,))[3:], "not UTF-8"),
-    (_record((3,), (3,), (1,)), "out of range"),
+    (_section(b"A\xff", [(1,)], [((1,), [0, 0])]), "not UTF-8"),
+    (_section("A2", [(1,)], [((3,), [0, 0])]), "simple index 3 out of range"),
 ], ids=["type-not-utf8", "letter-out-of-range"])
 def test_bad_record_after_valid_ones_merges_nothing(tmp_path, a2, tail, problem):
     path = Path(cache_path(tmp_path, "A2"))
@@ -312,22 +345,25 @@ def test_bad_record_after_valid_ones_merges_nothing(tmp_path, a2, tail, problem)
 
 
 def test_bad_record_sharing_a_valid_block_merges_nothing(tmp_path, a3):
-    # P_{s2, s2s1s3s2} = 1 + q, so the block (1, 1) is decoded before the
-    # appended record reuses it for a pair whose degree bound is 0.
+    # P_{s2, s2s1s3s2} = 1 + q gives (1, 1) its pool id; the column of
+    # s1 s2 reuses that id for y = s1, whose degree bound is 0.
     hecke = HeckeAlgebra(a3)
     assert hecke.kl_polynomial(a3.simple(2), a3.word_elem((2, 1, 3, 2))).items() == ((0, 1), (1, 1))
+    pool, columns = _layout(full_table(hecke))
+    at = [word for word, _ in columns].index((1, 2))
+    ids = columns[at][1]
+    ids[1] = pool.index((1, 1))  # [e, s1 s2] is e, s1, s2, s1 s2 in index order
     path = Path(cache_path(tmp_path, "A3"))
-    save_kl_table(full_table(hecke), path)
-    path.write_bytes(path.read_bytes() + _record((1,), (1, 2), (1, 1), kind="A3"))
+    path.write_bytes(b"KLT2" + _section("A3", pool, columns))
     target = HeckeAlgebra(weyl_group("A3"))
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(ValueError, match=re.escape("y=(1,) w=(1, 2): degree")):
         load_kl_table(path, target)
     assert len(target.kl_table) == 0
 
 
 def test_concatenated_types_each_load_their_own_records(tmp_path):
     tables = {kind: full_table(HeckeAlgebra(weyl_group(kind))) for kind in ("A1", "A2")}
-    data = b"KLT1"
+    data = b"KLT2"
     for kind, table in tables.items():
         path = Path(cache_path(tmp_path, kind))
         save_kl_table(table, path)
@@ -348,3 +384,49 @@ def test_loaded_equal_polynomials_are_one_object(tmp_path, b3):
     load_kl_table(path, target)
     polys = [p for _, column in target.kl_table.columns() for p in column.values()]
     assert len({id(p) for p in polys}) == len(set(polys)) > 1
+
+
+def test_klt1_file_is_refused(tmp_path):
+    # P_{e,e} = 1 of A1 in the record-per-entry layout that KLT2 replaced
+    path = tmp_path / "A1.klt"
+    path.write_bytes(b"KLT1" + b"\x02A1" + b"\x00\x00" + struct.pack("<Hq", 1, 1))
+    target = HeckeAlgebra(weyl_group("A1"))
+    with pytest.raises(ValueError, match="not a KL table cache"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+
+
+@pytest.mark.parametrize("ids", [[0, 0, 0, 0, 1, 0], [0] * 5 + [7]], ids=["entry", "diagonal"])
+def test_pool_id_out_of_range_merges_nothing(tmp_path, a2, ids):
+    path = Path(cache_path(tmp_path, "A2"))
+    save_kl_table(_without_w0(a2), path)
+    path.write_bytes(path.read_bytes() + _section("A2", [(1,)], [((1, 2, 1), ids)]))
+    target = HeckeAlgebra(weyl_group("A2"))
+    with pytest.raises(ValueError, match=f"pool id {max(ids)} out of range"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_section_length_that_does_not_match_merges_nothing(tmp_path, delta):
+    # An A2 section followed by an A1 one: one byte more takes in the first
+    # byte of the A1 section, one byte less leaves the last id out.
+    data = b"KLT2"
+    for kind in ("A2", "A1"):
+        path = Path(cache_path(tmp_path, kind))
+        save_kl_table(full_table(HeckeAlgebra(weyl_group(kind))), path)
+        data += path.read_bytes()[4:]
+    (size,) = struct.unpack_from("<I", data, 7)
+    path.write_bytes(data[:7] + struct.pack("<I", size + delta) + data[11:])
+    target = HeckeAlgebra(weyl_group("A2"))
+    with pytest.raises(ValueError, match="section length does not match"):
+        load_kl_table(path, target)
+    assert len(target.kl_table) == 0
+
+
+def test_save_beyond_the_pool_limit_writes_nothing(tmp_path, a3, monkeypatch):
+    # A3's table has two distinct polynomials, 1 and 1 + q.
+    monkeypatch.setattr(klcache, "_POOL_MAX", 1)
+    with pytest.raises(ValueError, match="2 distinct KL polynomials; a cache file holds 1"):
+        save_kl_table(full_table(HeckeAlgebra(a3)), cache_path(tmp_path, "A3"))
+    assert list(tmp_path.iterdir()) == []
